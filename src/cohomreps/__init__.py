@@ -30,6 +30,7 @@ from .errors import (
     CohomrepsError,
     DomainError,
     InexactDivision,
+    InvariantViolation,
     NotADivisor,
     NotCompatible,
     NotNested,

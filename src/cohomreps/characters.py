@@ -13,19 +13,28 @@ in its purely algebraic form
 
 where D = prod over all roots alpha of (1 - x^alpha) and CT takes the
 coefficient of x^0. D factors over the group factors and is cached per
-factor, so CT(chi * D) is evaluated as a lazy dot product: for each weight m
-of chi, look up the coefficient of -m in each factor's denominator. The full
-product of denominators across factors is never expanded.
+factor. trivial_multiplicity evaluates CT(chi * D) as a lazy dot product:
+for each weight m of chi, look up the coefficient of -m in each factor's
+denominator.
+
+invariant_poincare, the engine behind the Poincare series oracle, works on
+packed weights instead of tuples. A weight w inside a box |w_i| <= B_i is
+stored as the int sum of w_i * P_i, where P_0 = 1 and
+P_(i+1) = P_i * (2 B_i + 1), so each w_i is a balanced (signed) digit.
+Packing is linear, so adding weights is adding ints, and any sum of weights
+that stays inside the box decodes uniquely. With B_i the sum of |w_i| over
+all weights of the module, every exterior-power weight stays inside the
+box. The product of the factor denominators is then expanded once, in the
+same packing, and each constant term is a dict lookup per term.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .errors import InexactDivision, SignatureMismatch
+from .errors import DomainError, InexactDivision, SignatureMismatch
 from .polynomials import IntPoly
 
 Weight = tuple  # tuple of ints
@@ -166,24 +175,83 @@ def exterior_powers(chi: Character, kmax: int):
     return powers
 
 
-def _exterior_series_genuine(chi: Character):
-    """Exterior powers of a genuine character, one weight at a time.
+# Upper bound on the number of terms held at once by the exterior series
+# of invariant_poincare, summed over all exterior powers. Each term costs
+# about 100 bytes, so the cap keeps the series under about 1 GB. The
+# trivial rep of U(4,4) (6.8M terms) fits; U(4,5) does not.
+SERIES_TERM_BUDGET = 8_000_000
 
-    Multiplying out prod over weights of (1 + t x^w) never cancels
-    anything, so this beats the Newton recursion by a wide margin on big
-    modules. Only valid when every multiplicity is nonnegative.
+
+class _Box:
+    """Balanced mixed-radix packing of the weights in |w_i| <= bounds[i]."""
+
+    __slots__ = ("bounds", "places")
+
+    def __init__(self, bounds):
+        self.bounds = tuple(bounds)
+        places = []
+        place = 1
+        for b in self.bounds:
+            places.append(place)
+            place *= 2 * b + 1
+        self.places = tuple(places)
+
+    def contains(self, w) -> bool:
+        return all(abs(x) <= b for x, b in zip(w, self.bounds))
+
+    def pack(self, w) -> int:
+        return sum(x * p for x, p in zip(w, self.places))
+
+    def unpack(self, key: int) -> Weight:
+        out = []
+        for b in self.bounds:
+            base = 2 * b + 1
+            digit = (key + b) % base - b
+            out.append(digit)
+            key = (key - digit) // base
+        return tuple(out)
+
+
+def _pack_module(chi: Character):
+    """The smallest box holding every sum of weights of a genuine chi, and
+    the weights of chi packed in it, repeated by multiplicity."""
+    bounds = [0] * chi.rank
+    for w, c in chi.terms.items():
+        for i, x in enumerate(w):
+            bounds[i] += c * abs(x)
+    box = _Box(bounds)
+    weights = [
+        box.pack(w) for w, mult in sorted(chi.terms.items()) for _ in range(mult)
+    ]
+    return box, weights
+
+
+def _exterior_series(weights):
+    """Levels of prod over the packed weights of (1 + t x^w).
+
+    Level k maps packed weights to their multiplicity in the k-th exterior
+    power. Nothing ever cancels, so the number of live terms only grows; it
+    is counted against SERIES_TERM_BUDGET and DomainError is raised past it.
     """
-    rank = chi.rank
-    series = [{(0,) * rank: 1}]
-    for w, mult in sorted(chi.terms.items()):
-        for _ in range(mult):
-            series.append({})
-            for k in range(len(series) - 1, 0, -1):
-                target = series[k]
-                for v, c in series[k - 1].items():
-                    sv = tuple(a + b for a, b in zip(v, w))
-                    target[sv] = target.get(sv, 0) + c
-    return [Character(rank, level) for level in series]
+    series = [{0: 1}]
+    live = 1
+    for w in weights:
+        series.append({})
+        for k in range(len(series) - 1, 0, -1):
+            target = series[k]
+            get = target.get
+            live -= len(target)
+            for v, c in series[k - 1].items():
+                target[v + w] = get(v + w, 0) + c
+            live += len(target)
+            if live > SERIES_TERM_BUDGET:
+                raise DomainError(
+                    f"the exterior series of this dimension-{len(weights)} "
+                    f"module needs more than {SERIES_TERM_BUDGET} terms; "
+                    "cohomology --closed-only skips it, except on the real "
+                    "central block of an orthogonal rep"
+                )
+    return series
 
 
 def _check_factor(factor: Factor) -> Factor:
@@ -272,15 +340,21 @@ def standard_weights(factor: Factor):
 @lru_cache(maxsize=None)
 def _factor_denominator(factor: Factor):
     """Coefficients of prod over all roots of (1 - x^alpha), as a dict."""
-    rank = factor_rank(factor)
-    terms = {(0,) * rank: 1}
-    for alpha in factor_roots(factor):
+    roots = factor_roots(factor)
+    box = _Box(
+        sum(abs(alpha[i]) for alpha in roots) for i in range(factor_rank(factor))
+    )
+    terms = {0: 1}
+    for alpha in map(box.pack, roots):
         nxt = dict(terms)
         for w, c in terms.items():
-            shifted = tuple(x + y for x, y in zip(w, alpha))
-            nxt[shifted] = nxt.get(shifted, 0) - c
-        terms = {w: c for w, c in nxt.items() if c}
-    return terms
+            nxt[w + alpha] = nxt.get(w + alpha, 0) - c
+        # Zeros are deleted in place: filtering into a fresh dict at every
+        # step fragments the heap that the cached result then lives in.
+        for w in [w for w, c in nxt.items() if not c]:
+            del nxt[w]
+        terms = nxt
+    return {box.unpack(w): c for w, c in terms.items()}
 
 
 @dataclass(frozen=True)
@@ -338,6 +412,10 @@ def trivial_multiplicity(chi: Character, group: CompactGroupSpec) -> int:
                 break
             prod *= coeff
         total += prod
+    return _divide_by_weyl_order(total, group)
+
+
+def _divide_by_weyl_order(total: int, group: CompactGroupSpec) -> int:
     mult, rem = divmod(total, group.weyl_order)
     if rem:
         raise InexactDivision(
@@ -351,18 +429,36 @@ def invariant_poincare(group: CompactGroupSpec, chi: Character) -> IntPoly:
     """Generating polynomial of invariants in the exterior algebra of chi.
 
     Coefficient of t^j is the trivial multiplicity in the j-th exterior
-    power. Cost grows quickly with the dimension of chi; a warning is
-    emitted past dimension 20.
+    power of the genuine character chi. Every power is expanded in full, on
+    packed weights; DomainError is raised when the series would hold more
+    than SERIES_TERM_BUDGET terms.
     """
-    dim = chi.dimension()
-    if dim > 20:
-        warnings.warn(
-            f"invariant Poincare series of a dimension-{dim} module; "
-            "this exact computation may take a while",
-            stacklevel=2,
+    if chi.rank != group.rank:
+        raise SignatureMismatch(
+            f"character rank {chi.rank} does not match group rank {group.rank}"
         )
-    if all(c > 0 for c in chi.terms.values()):
-        powers = _exterior_series_genuine(chi)
-    else:
-        powers = exterior_powers(chi, dim)
-    return IntPoly([trivial_multiplicity(e, group) for e in powers])
+    if any(c < 0 for c in chi.terms.values()):
+        raise DomainError("exterior powers need a genuine character")
+    box, weights = _pack_module(chi)
+    # CT(level * D) needs the coefficient of -m in D for each weight m of a
+    # level. Denominator terms outside the box match no weight and are
+    # dropped before the per-factor pieces are multiplied out.
+    denominator = {0: 1}
+    for factor, (start, _) in zip(group.factors, group.slices):
+        pad = (0,) * start
+        local = {
+            -box.pack(pad + w): c
+            for w, c in _factor_denominator(factor).items()
+            if box.contains(pad + w)
+        }
+        denominator = {
+            k1 + k2: c1 * c2
+            for k1, c1 in denominator.items()
+            for k2, c2 in local.items()
+        }
+    coeffs = []
+    for level in _exterior_series(weights):
+        small, big = sorted((level, denominator), key=len)
+        total = sum(c * big.get(k, 0) for k, c in small.items())
+        coeffs.append(_divide_by_weyl_order(total, group))
+    return IntPoly(coeffs)

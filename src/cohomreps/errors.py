@@ -32,6 +32,11 @@ class PalindromeViolation(CohomrepsError):
     failed the palindrome check that symmetry guarantees."""
 
 
+class InvariantViolation(CohomrepsError):
+    """Internal consistency tripwire: a quantity computed two independent
+    ways (a lowest degree, a module dimension) came out different."""
+
+
 class InexactDivision(CohomrepsError):
     """An exact integer division inside a character computation left a
     remainder. For multiplicity extraction this means the input was not an

@@ -28,7 +28,7 @@ from .characters import (
     invariant_poincare,
     standard_weights,
 )
-from .errors import DomainError, NotOrthogonal, WrongFamily
+from .errors import DomainError, InvariantViolation, NotOrthogonal, WrongFamily
 from .partitions import (
     OrthogonalDecomposition,
     SkewDecomposition,
@@ -83,6 +83,15 @@ def _padded_last(lam: tuple, p: int) -> int:
     return lam[p - 1] if len(lam) >= p else 0
 
 
+def _check_R(R: int, expected: int, lam, mu) -> None:
+    # R is read off the rectangle areas; the partition sizes give it too.
+    if R != expected:
+        raise InvariantViolation(
+            f"lowest degree of ({lam}, {mu}) is {R} from the rectangles "
+            f"but {expected} from the partition sizes"
+        )
+
+
 def make_rep(family: Family, lam, mu=None, flag=None) -> CohRep:
     """Build and validate a representation of the given family."""
     p, q = family.p, family.q
@@ -120,7 +129,7 @@ def make_rep(family: Family, lam, mu=None, flag=None) -> CohRep:
         if flag is not None:
             raise WrongFamily("the flag parameter belongs to the Sp family")
         R = p * q - areas
-        assert R == sum(lam) + comp_weight
+        _check_R(R, sum(lam) + comp_weight, lam, mu)
         return CohRep(family, lam, mu, None, skew, None, R, None)
 
     # Sp family
@@ -134,11 +143,11 @@ def make_rep(family: Family, lam, mu=None, flag=None) -> CohRep:
         )
     if flag == 1:
         R = 2 * p * q - areas
-        assert R == p * q + sum(lam) + comp_weight
+        _check_R(R, p * q + sum(lam) + comp_weight, lam, mu)
     else:
         a, b = skew.rectangles[-1]
         R = 2 * p * q - 2 * a * b - (areas - a * b)
-        assert R == p * q - a * b + sum(lam) + comp_weight
+        _check_R(R, p * q - a * b + sum(lam) + comp_weight, lam, mu)
     return CohRep(family, lam, mu, flag, skew, None, R, None)
 
 
@@ -259,7 +268,11 @@ def lp_character(rep: CohRep):
     expected = 0
     for style, a, b in _block_tags(rep):
         expected += {"her": 2, "quat": 4, "real": 1}[style] * a * b
-    assert chi.dimension() == expected
+    if chi.dimension() != expected:
+        raise InvariantViolation(
+            f"module of {text_form(rep)} has dimension {chi.dimension()}, "
+            f"its Levi blocks give {expected}"
+        )
     return group, chi
 
 

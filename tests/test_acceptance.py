@@ -103,14 +103,14 @@ def test_criterion_2_defect_formula_matches_brute_force():
 
 def test_criterion_3_closed_form_matches_invariant_computation():
     t0 = time.monotonic()
-    for p, q in signatures(5):
+    for p, q in signatures(7):
         for rep in enumerate_reps(Family("U", p, q)):
             closed = poincare_closed(rep)
             rebuilt = [0] * (closed.degree + 1 if closed else 1)
             for degree, dim in full_cohomology(rep):
                 rebuilt[degree] = dim
             assert IntPoly(rebuilt) == closed, f"mismatch at {rep!r}"
-    for total in range(2, 4):
+    for total in range(2, 6):
         for a in range(1, total):
             b = total - a
             group, chi = _group_and_module((("quat", a, b),))

@@ -10,6 +10,7 @@ import pytest
 from cohomreps import (
     Character,
     CompactGroupSpec,
+    DomainError,
     InexactDivision,
     SignatureMismatch,
     adams,
@@ -17,9 +18,11 @@ from cohomreps import (
     invariant_poincare,
     trivial_multiplicity,
 )
+from cohomreps import characters
 from cohomreps.characters import (
-    _exterior_series_genuine,
+    _exterior_series,
     _factor_denominator,
+    _pack_module,
     factor_rank,
     factor_roots,
     factor_weyl_order,
@@ -74,12 +77,21 @@ def test_exterior_powers_of_standard_u2():
     assert e[3].terms == {}
 
 
+def packed_series(chi):
+    """The engine's exterior series of chi, decoded back to characters."""
+    box, weights = _pack_module(chi)
+    return [
+        Character(chi.rank, {box.unpack(k): c for k, c in level.items()})
+        for level in _exterior_series(weights)
+    ]
+
+
 def test_genuine_series_matches_newton():
     # a weight with multiplicity, plus a few singletons, under U(2) x U(1)
     chi = Character.from_weights(
         3, [(1, 0, 0), (1, 0, 0), (0, 1, -1), (-1, 0, 1), (0, 0, 0)]
     )
-    direct = _exterior_series_genuine(chi)
+    direct = packed_series(chi)
     newton = exterior_powers(chi, chi.dimension())
     assert len(direct) == len(newton)
     for lhs, rhs in zip(direct, newton):
@@ -90,9 +102,21 @@ def test_genuine_series_on_quaternionic_block():
     from cohomreps.reps import _group_and_module
 
     _, chi = _group_and_module((("quat", 1, 2),))
-    direct = _exterior_series_genuine(chi)
+    direct = packed_series(chi)
     newton = exterior_powers(chi, chi.dimension())
     assert direct == newton
+
+
+def reference_denominator(factor):
+    """prod over all roots of (1 - x^alpha), expanded on weight tuples."""
+    terms = {(0,) * factor_rank(factor): 1}
+    for alpha in factor_roots(factor):
+        nxt = dict(terms)
+        for w, c in terms.items():
+            shifted = tuple(x + y for x, y in zip(w, alpha))
+            nxt[shifted] = nxt.get(shifted, 0) - c
+        terms = {w: c for w, c in nxt.items() if c}
+    return terms
 
 
 FACTORS = [
@@ -114,6 +138,18 @@ def test_constant_term_of_denominator_is_weyl_order(factor):
     dd = _factor_denominator(factor)
     rank = factor_rank(factor)
     assert dd.get((0,) * rank, 0) == factor_weyl_order(factor)
+
+
+@pytest.mark.parametrize(
+    "factor",
+    FACTORS + [("U", 5), ("Sp", 4), ("SO", 8)],
+    ids=lambda f: f"{f[0]}{f[1]}",
+)
+def test_packed_denominator_matches_tuple_expansion(factor):
+    dd = _factor_denominator(factor)
+    assert dd == reference_denominator(factor)
+    # CT(D) = |W| alone would not see a sign slip in the balanced digits
+    assert all(dd[tuple(-x for x in w)] == c for w, c in dd.items())
 
 
 def test_weyl_orders():
@@ -169,13 +205,22 @@ def test_invariant_poincare_torus_module():
     assert invariant_poincare(group, chi) == IntPoly([1, 3, 3, 1])
 
 
-def test_invariant_poincare_warns_on_big_modules():
+def test_invariant_poincare_term_budget_on_big_modules(monkeypatch):
+    # 21 zero weights: each of the 22 exterior powers holds a single term
     chi = Character.from_weights(1, [(0,)] * 21)
     group = CompactGroupSpec((("U", 1),))
-    with pytest.warns(UserWarning):
-        poly = invariant_poincare(group, chi)
+    poly = invariant_poincare(group, chi)
     assert poly.coeffs[1] == 21
     assert poly(1) == 2**21
+    monkeypatch.setattr(characters, "SERIES_TERM_BUDGET", 21)
+    with pytest.raises(DomainError, match="--closed-only"):
+        invariant_poincare(group, chi)
+
+
+def test_invariant_poincare_rejects_virtual_characters():
+    chi = Character(1, {(0,): -1})
+    with pytest.raises(DomainError):
+        invariant_poincare(CompactGroupSpec((("U", 1),)), chi)
 
 
 def test_group_spec_slices():

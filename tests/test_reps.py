@@ -3,9 +3,11 @@
 import pytest
 
 from cohomreps import (
+    Character,
     DomainError,
     Family,
     IntPoly,
+    InvariantViolation,
     NotOrthogonal,
     WrongFamily,
     enumerate_reps,
@@ -19,6 +21,7 @@ from cohomreps import (
     text_form,
     trivial_rep,
 )
+from cohomreps import reps
 from cohomreps.reps import _real_center_poincare
 
 
@@ -136,6 +139,19 @@ def test_lp_character_dimensions():
     group, chi = lp_character(trivial_rep(Family("O", 2, 2)))
     assert chi.dimension() == 4
     assert group.factors == (("SO", 2), ("SO", 2))
+
+
+def test_lp_character_checks_the_module_dimension(monkeypatch):
+    build = reps._group_and_module
+
+    def drop_a_weight(tags):
+        group, chi = build(tags)
+        weights = [w for w, c in chi.terms.items() for _ in range(c)]
+        return group, Character.from_weights(chi.rank, weights[1:])
+
+    monkeypatch.setattr(reps, "_group_and_module", drop_a_weight)
+    with pytest.raises(InvariantViolation, match="dimension 11"):
+        lp_character(trivial_rep(Family("U", 2, 3)))
 
 
 class TestPoincare:
