@@ -84,9 +84,11 @@ from .polynomials import IntPoly, gaussian_binomial
 from .reps import (
     CohRep,
     Family,
-    degree_R,
+    admits_flag_zero,
+    block_tags,
     enumerate_reps,
     full_cohomology,
+    group_and_module,
     hodge_type,
     lp_character,
     make_rep,

@@ -1,0 +1,80 @@
+"""Cross-checks between independent implementations, shared by the
+acceptance tests and `cohomreps verify`.
+
+Each check is written once, as a generator of (case label, agrees) pairs
+over every case up to a scale; `run` condenses one into a result.
+"""
+
+from __future__ import annotations
+
+from .autdegrees import N, lemC_bruteforce
+from .characters import invariant_poincare
+from .isolation import isolated_O, isolated_U_explicit, isolated_U_search, t1intro_inequalities
+from .polynomials import gaussian_binomial
+from .reps import Family, enumerate_reps, group_and_module, make_rep, text_form
+
+
+def signatures(total: int):
+    """All (p, q) with p, q >= 1 and p + q <= total."""
+    for p in range(1, total):
+        for q in range(1, total - p + 1):
+            yield p, q
+
+
+def sweep_lemC(max_n: int):
+    """N(b, n, p) against lemC_bruteforce, which must also find uniform parity."""
+    for n in range(1, max_n + 1):
+        for b in range(1, n + 1):
+            if n % b:
+                continue
+            for p in range(n + 1):
+                best, uniform = lemC_bruteforce(n // b, b, p)
+                yield f"n={n} b={b} p={p}", best == N(b, n, p) and uniform
+
+
+def sweep_gaussian(max_rank: int):
+    """The oracle on one hermitian or quaternionic block against a Gaussian binomial."""
+    for a, b in signatures(max_rank):
+        expected = gaussian_binomial(a + b, a)
+        for style, step in (("her", 2), ("quat", 4)):
+            group, chi = group_and_module(((style, a, b),))
+            yield f"{style} {a}x{b}", invariant_poincare(group, chi) == expected.inflate(step)
+
+
+def sweep_t1intro(max_pq: int):
+    """Orthogonal isolation of A((r^p)) by search against the inequalities."""
+    for p, q in signatures(max_pq):
+        # The identity component of O(1,1) is abelian with one parameter, so
+        # the search is vacuous there; the acceptance tests xfail it.
+        if (p, q) == (1, 1):
+            continue
+        for r in range(q // 2 + 1):
+            rep = make_rep(Family("O", p, q), (r,) * p)
+            yield f"O({p},{q}) r={r}", isolated_O(rep).isolated == t1intro_inequalities(p, q, r)
+
+
+def sweep_isolation(max_pq: int):
+    """The explicit corner criterion against the neighbor search on U(p,q)."""
+    for p, q in signatures(max_pq):
+        for rep in enumerate_reps(Family("U", p, q)):
+            agrees = isolated_U_explicit(rep).isolated == isolated_U_search(rep).isolated
+            yield text_form(rep), agrees
+
+
+CHECKS = {
+    "lemC": sweep_lemC,
+    "gaussian": sweep_gaussian,
+    "t1intro": sweep_t1intro,
+    "isolation": sweep_isolation,
+}
+
+
+def run(name: str, scale: int) -> dict:
+    """Run one check; the result lists the labels of the disagreeing cases."""
+    cases = 0
+    mismatches = []
+    for label, agrees in CHECKS[name](scale):
+        cases += 1
+        if not agrees:
+            mismatches.append(label)
+    return {"name": name, "scale": scale, "cases": cases, "mismatches": mismatches}

@@ -1,9 +1,9 @@
 """Command line front end.
 
-Every data-producing subcommand prints a single JSON document (sorted keys,
-stable layout) so runs are byte-reproducible; a TSV rendering is available
-where tabular output makes sense. Bad usage exits with 2, domain errors
-with 3 and a machine-readable error object, verification mismatches with 1.
+Every subcommand prints a single JSON document (sorted keys, stable layout)
+so runs are byte-reproducible; a TSV rendering is available where tabular
+output makes sense. Bad usage exits with 2, domain errors with 3 and a
+machine-readable error object, verification mismatches with 1.
 """
 
 from __future__ import annotations
@@ -12,25 +12,15 @@ import argparse
 import json
 import sys
 
-from . import __version__
-from .autdegrees import CONDITIONAL_NOTE, N, degree_support, lemC_bruteforce, li_coverage, relth_coverage
-from .characters import invariant_poincare
+from . import __version__, checks
+from .autdegrees import CONDITIONAL_NOTE, N, degree_support, li_coverage, relth_coverage
 from .errors import CohomrepsError
 from .glrestrict import parse_glrep, prediction_modes_disagree, restrict_prediction, t_matrix
-from .isolation import (
-    isolated_O,
-    isolated_Sp,
-    isolated_U_explicit,
-    isolated_U_search,
-    isolated_d0,
-    t1intro_inequalities,
-)
+from .isolation import isolated_O, isolated_Sp, isolated_U_explicit, isolated_U_search, isolated_d0
 from .partitions import parse_partition
-from .polynomials import gaussian_binomial
 from .reps import (
     Family,
-    _block_tags,
-    _group_and_module,
+    block_tags,
     enumerate_reps,
     full_cohomology,
     hodge_type,
@@ -98,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p_res)
 
     p_ver = sub.add_parser("verify", help="cross-check independent implementations")
-    p_ver.add_argument("subject", choices=["lemC", "gaussian", "t1intro", "isolation", "all"])
+    p_ver.add_argument("subject", choices=[*checks.CHECKS, "all"])
     p_ver.add_argument("--max-n", type=int, default=12)
     p_ver.add_argument("--max-rank", type=int, default=4)
     p_ver.add_argument("--max-pq", type=int, default=8)
@@ -115,6 +105,17 @@ def _rep_from_args(args):
     lam = parse_partition(args.lam) if args.lam is not None else ()
     mu = parse_partition(args.mu) if args.mu is not None else None
     return make_rep(fam, lam, mu, args.flag)
+
+
+def _rep_inputs(args, rep):
+    return {
+        "family": args.family,
+        "p": args.p,
+        "q": args.q,
+        "lambda": list(rep.lam),
+        "mu": list(rep.mu),
+        "flag": rep.flag,
+    }
 
 
 def _poly_json(poly):
@@ -191,23 +192,12 @@ def _cmd_cohomology(args) -> int:
         "rep": text_form(rep),
         "R": rep.R,
         "hodge": list(hodge_type(rep)) if rep.family.kind == "U" else None,
-        "levi_blocks": [list(t) for t in _block_tags(rep)],
+        "levi_blocks": [list(t) for t in block_tags(rep)],
         "poincare_closed": _poly_json(closed),
         "poincare_oracle": None if oracle is None else _poly_json(oracle),
         "cohomology": cohom,
     }
-    payload = _payload(
-        "cohomology",
-        {
-            "family": args.family,
-            "p": args.p,
-            "q": args.q,
-            "lambda": list(rep.lam),
-            "mu": list(rep.mu),
-            "flag": rep.flag,
-        },
-        body,
-    )
+    payload = _payload("cohomology", _rep_inputs(args, rep), body)
     _emit(payload, args.format)
     return 0
 
@@ -230,18 +220,7 @@ def _cmd_isolate(args) -> int:
         "explicit": None if explicit is None else _verdict_json(explicit),
         "degree_zero": _verdict_json(isolated_d0(rep)),
     }
-    payload = _payload(
-        "isolate",
-        {
-            "family": args.family,
-            "p": args.p,
-            "q": args.q,
-            "lambda": list(rep.lam),
-            "mu": list(rep.mu),
-            "flag": rep.flag,
-        },
-        body,
-    )
+    payload = _payload("isolate", _rep_inputs(args, rep), body)
     _emit(payload, args.format)
     return 0
 
@@ -279,18 +258,7 @@ def _cmd_coverage(args) -> int:
         "relth": {"tag": rel.tag, "source": rel.source},
         "conditional_on": None,
     }
-    payload = _payload(
-        "coverage",
-        {
-            "family": args.family,
-            "p": args.p,
-            "q": args.q,
-            "lambda": list(rep.lam),
-            "mu": list(rep.mu),
-            "flag": rep.flag,
-        },
-        body,
-    )
+    payload = _payload("coverage", _rep_inputs(args, rep), body)
     _emit(payload, args.format)
     return 0
 
@@ -311,95 +279,17 @@ def _cmd_restrict(args) -> int:
     return 0
 
 
-def _verify_lemC(max_n: int):
-    lines = []
-    bad = []
-    cases = 0
-    for n in range(1, max_n + 1):
-        for b in range(1, n + 1):
-            if n % b:
-                continue
-            a = n // b
-            for p in range(n + 1):
-                cases += 1
-                best, uniform = lemC_bruteforce(a, b, p)
-                if best != N(b, n, p) or not uniform:
-                    bad.append(f"mismatch at n={n} b={b} p={p}")
-    lines.append(f"lemC: {cases} cases up to n={max_n}")
-    lines.extend(bad)
-    return not bad, lines
-
-
-def _verify_gaussian(max_rank: int):
-    lines = []
-    bad = []
-    cases = 0
-    for a in range(1, max_rank):
-        for b in range(1, max_rank - a + 1):
-            cases += 2
-            her_group, her_chi = _group_and_module((("her", a, b),))
-            if invariant_poincare(her_group, her_chi) != gaussian_binomial(a + b, a).inflate(2):
-                bad.append(f"hermitian mismatch at ({a},{b})")
-            quat_group, quat_chi = _group_and_module((("quat", a, b),))
-            if invariant_poincare(quat_group, quat_chi) != gaussian_binomial(a + b, a).inflate(4):
-                bad.append(f"quaternionic mismatch at ({a},{b})")
-    lines.append(f"gaussian: {cases} block comparisons up to rank {max_rank}")
-    lines.extend(bad)
-    return not bad, lines
-
-
-def _verify_t1intro(max_pq: int):
-    lines = []
-    bad = []
-    cases = 0
-    lines.append(
-        "note: signature (1,1) is excluded; its identity component is "
-        "abelian and the search criterion is vacuous there"
-    )
-    for p in range(1, max_pq):
-        for q in range(1, max_pq - p + 1):
-            if (p, q) == (1, 1):
-                continue
-            for r in range(q // 2 + 1):
-                cases += 1
-                rep = make_rep(Family("O", p, q), (r,) * p if r else ())
-                if isolated_O(rep).isolated != t1intro_inequalities(p, q, r):
-                    bad.append(f"mismatch at p={p} q={q} r={r}")
-    lines.append(f"t1intro: {cases} cases up to p+q={max_pq}")
-    lines.extend(bad)
-    return not bad, lines
-
-
-def _verify_isolation(max_pq: int):
-    lines = []
-    bad = []
-    cases = 0
-    for p in range(1, max_pq):
-        for q in range(1, max_pq - p + 1):
-            for rep in enumerate_reps(Family("U", p, q)):
-                cases += 1
-                if isolated_U_search(rep).isolated != isolated_U_explicit(rep).isolated:
-                    bad.append(f"mismatch at {text_form(rep)}")
-    lines.append(f"isolation: {cases} unitary representations up to p+q={max_pq}")
-    lines.extend(bad)
-    return not bad, lines
-
-
 def _cmd_verify(args) -> int:
-    runners = {
-        "lemC": lambda: _verify_lemC(args.max_n),
-        "gaussian": lambda: _verify_gaussian(args.max_rank),
-        "t1intro": lambda: _verify_t1intro(args.max_pq),
-        "isolation": lambda: _verify_isolation(args.max_pq),
+    scales = {
+        "lemC": args.max_n,
+        "gaussian": args.max_rank,
+        "t1intro": args.max_pq,
+        "isolation": args.max_pq,
     }
-    subjects = list(runners) if args.subject == "all" else [args.subject]
-    ok = True
-    for name in subjects:
-        good, lines = runners[name]()
-        ok = ok and good
-        for line in lines:
-            print(line)
-    print("PASS" if ok else "FAIL")
+    names = list(checks.CHECKS) if args.subject == "all" else [args.subject]
+    results = [checks.run(name, scales[name]) for name in names]
+    ok = not any(result["mismatches"] for result in results)
+    _emit(_payload("verify", vars(args), {"checks": results, "ok": ok}), "json")
     return 0 if ok else 1
 
 

@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .errors import DomainError, WrongFamily
 from .partitions import format_partition
-from .reps import CohRep, _enumerate_cached, _padded_last
+from .reps import CohRep, Family, admits_flag_zero, enumerate_reps
 
 
 @dataclass(frozen=True)
@@ -47,12 +47,11 @@ def _pair_index(p: int, q: int):
     rectangle is None for the empty skew shape.
     """
     index = {}
-    for rep in _enumerate_cached("U", p, q):
+    for rep in enumerate_reps(Family("U", p, q)):
         rects = rep.skew.rectangles
         last = tuple(rects[-1]) if rects else None
-        admits = _padded_last(rep.lam, p) == 0 and _padded_last(rep.mu, p) > 0
         index.setdefault(rep.skew.boxes, []).append(
-            (rep.lam, rep.mu, last, admits)
+            (rep.lam, rep.mu, last, admits_flag_zero(rep.lam, rep.mu, p))
         )
     return {k: tuple(v) for k, v in index.items()}
 
@@ -60,7 +59,7 @@ def _pair_index(p: int, q: int):
 @lru_cache(maxsize=None)
 def _orth_index(p: int, q: int):
     index = {}
-    for rep in _enumerate_cached("O", p, q):
+    for rep in enumerate_reps(Family("O", p, q)):
         index.setdefault(rep.skew.boxes, []).append(rep.lam)
     return {k: tuple(v) for k, v in index.items()}
 

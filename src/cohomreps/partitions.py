@@ -30,11 +30,14 @@ BoxSet = frozenset  # frozenset of (row, col), 1-based
 def canonical(parts: Sequence[int]) -> Partition:
     """Validate a part sequence and strip trailing zeros.
 
-    Raises ValueError for negative parts or an increasing step; zeros may
-    only appear at the tail.
+    Raises ValueError for a part that is not an int (bools included),
+    negative parts or an increasing step; zeros may only appear at the
+    tail.
     """
-    parts = tuple(int(x) for x in parts)
+    parts = tuple(parts)
     for i, x in enumerate(parts):
+        if type(x) is not int:
+            raise ValueError(f"parts must be integers, got {x!r}")
         if x < 0:
             raise ValueError(f"negative part {x}")
         if i and parts[i - 1] < x:
@@ -261,6 +264,6 @@ def parse_partition(text: str) -> Partition:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"not a partition literal: {text!r}") from exc
-    if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
+    if not isinstance(data, list):
         raise ValueError(f"not a partition literal: {text!r}")
     return canonical(data)

@@ -54,6 +54,8 @@ class Family:
     def __post_init__(self):
         if self.kind not in FAMILIES:
             raise WrongFamily(f"unknown family {self.kind!r}")
+        if type(self.p) is not int or type(self.q) is not int:
+            raise DomainError(f"signature ({self.p!r},{self.q!r}) must be integers")
         if self.p < 1 or self.q < 1:
             raise DomainError(f"signature ({self.p},{self.q}) must be positive")
 
@@ -79,8 +81,9 @@ class CohRep:
         return f"CohRep({text_form(self)})"
 
 
-def _padded_last(lam: tuple, p: int) -> int:
-    return lam[p - 1] if len(lam) >= p else 0
+def admits_flag_zero(lam: tuple, mu: tuple, p: int) -> bool:
+    """Whether the bottom box row lies in the skew shape, as Sp flag 0 needs."""
+    return len(lam) < p <= len(mu)
 
 
 def _check_R(R: int, expected: int, lam, mu) -> None:
@@ -135,8 +138,7 @@ def make_rep(family: Family, lam, mu=None, flag=None) -> CohRep:
     # Sp family
     if flag not in (0, 1):
         raise DomainError("the Sp family needs flag 0 or 1")
-    admits_zero = _padded_last(lam, p) == 0 and _padded_last(mu, p) > 0
-    if flag == 0 and not admits_zero:
+    if flag == 0 and not admits_flag_zero(lam, mu, p):
         raise DomainError(
             "flag 0 requires the bottom box row to lie inside the skew "
             "shape; this pair only admits flag 1"
@@ -178,7 +180,7 @@ def _enumerate_cached(kind: str, p: int, q: int):
             if kind == "U":
                 reps.append(make_rep(fam, lam, mu))
             else:
-                if _padded_last(lam, p) == 0 and _padded_last(mu, p) > 0:
+                if admits_flag_zero(lam, mu, p):
                     reps.append(make_rep(fam, lam, mu, flag=0))
                 reps.append(make_rep(fam, lam, mu, flag=1))
     return tuple(reps)
@@ -187,10 +189,6 @@ def _enumerate_cached(kind: str, p: int, q: int):
 def enumerate_reps(family: Family):
     """All representations of the family, ordered by (lam, mu, flag)."""
     return _enumerate_cached(family.kind, family.p, family.q)
-
-
-def degree_R(rep: CohRep) -> int:
-    return rep.R
 
 
 def hodge_type(rep: CohRep):
@@ -210,7 +208,8 @@ def hodge_type(rep: CohRep):
 # ---------------------------------------------------------------------------
 
 
-def _block_tags(rep: CohRep):
+def block_tags(rep: CohRep):
+    """The Levi blocks of the rep's module, as tags in the table above."""
     kind = rep.family.kind
     if kind == "O":
         tags = [("her", a, b) for a, b in rep.orth.pairs]
@@ -230,7 +229,8 @@ def _block_tags(rep: CohRep):
 _FACTOR_KIND = {"her": "U", "quat": "Sp", "real": "SO"}
 
 
-def _group_and_module(tags):
+def group_and_module(tags):
+    """The compact group and the character of the module that tags describe."""
     factors = []
     for style, a, b in tags:
         kind = _FACTOR_KIND[style]
@@ -264,9 +264,9 @@ def _group_and_module(tags):
 
 def lp_character(rep: CohRep):
     """The compact Levi factor and the character of its module inside p."""
-    group, chi = _group_and_module(_block_tags(rep))
+    group, chi = group_and_module(block_tags(rep))
     expected = 0
-    for style, a, b in _block_tags(rep):
+    for style, a, b in block_tags(rep):
         expected += {"her": 2, "quat": 4, "real": 1}[style] * a * b
     if chi.dimension() != expected:
         raise InvariantViolation(
@@ -278,7 +278,7 @@ def lp_character(rep: CohRep):
 
 @lru_cache(maxsize=None)
 def _real_center_poincare(p0: int, q0: int) -> IntPoly:
-    group, chi = _group_and_module((("real", p0, q0),))
+    group, chi = group_and_module((("real", p0, q0),))
     return invariant_poincare(group, chi)
 
 
@@ -291,7 +291,7 @@ def poincare_closed(rep: CohRep) -> IntPoly:
     result carries the overall t^R shift, so degrees are absolute.
     """
     poly = ONE
-    for style, a, b in _block_tags(rep):
+    for style, a, b in block_tags(rep):
         if style == "her":
             poly = poly * gaussian_binomial(a + b, a).inflate(2)
         elif style == "quat":
@@ -303,7 +303,7 @@ def poincare_closed(rep: CohRep) -> IntPoly:
 
 @lru_cache(maxsize=None)
 def _oracle_poincare(tags) -> IntPoly:
-    group, chi = _group_and_module(tags)
+    group, chi = group_and_module(tags)
     return invariant_poincare(group, chi)
 
 
@@ -314,12 +314,12 @@ def poincare_oracle(rep: CohRep) -> IntPoly:
     machinery at once. Results are cached by the multiset of blocks, which
     determines the module up to reordering coordinates.
     """
-    return _oracle_poincare(tuple(sorted(_block_tags(rep)))).shift(rep.R)
+    return _oracle_poincare(tuple(sorted(block_tags(rep)))).shift(rep.R)
 
 
 def full_cohomology(rep: CohRep):
     """Nonzero cohomology as ((degree, dimension), ...), degrees absolute."""
-    poly = _oracle_poincare(tuple(sorted(_block_tags(rep))))
+    poly = _oracle_poincare(tuple(sorted(block_tags(rep))))
     return tuple(
         (rep.R + j, c) for j, c in enumerate(poly.coeffs) if c
     )

@@ -8,6 +8,9 @@ Three groups sit outside the theorems being checked (non-semisimple or
 non-simple low signatures). Their tests are marked as strict expected
 failures right below the criterion they belong to, with the evidence in the
 test body, so a future behavior change will surface as a hard error.
+
+Criteria 1 to 4 assert on the sweeps in `cohomreps.checks`, the same ones
+`cohomreps verify` runs.
 """
 
 import json
@@ -19,18 +22,13 @@ import pytest
 from cohomreps import (
     Family,
     IntPoly,
-    N,
     degree_support,
     enumerate_reps,
     full_cohomology,
-    gaussian_binomial,
     hyp_chain_epsilon,
-    invariant_poincare,
     isolated_O,
     isolated_Sp,
-    isolated_U_explicit,
     isolated_U_search,
-    lemC_bruteforce,
     make_rep,
     parse_glrep,
     poincare_closed,
@@ -39,16 +37,9 @@ from cohomreps import (
     restrict_prediction,
     t1intro_inequalities,
     t_matrix,
-    trivial_rep,
 )
+from cohomreps.checks import run, signatures
 from cohomreps.cli import main
-from cohomreps.reps import _group_and_module
-
-
-def signatures(total, start=1):
-    for p in range(start, total):
-        for q in range(start, total - p + 1):
-            yield p, q
 
 
 # 1. orthogonal isolation search against the inequality battery ------------
@@ -56,17 +47,10 @@ def signatures(total, start=1):
 
 def test_criterion_1_orthogonal_isolation_matches_inequalities():
     t0 = time.monotonic()
-    checked = 0
-    for p, q in signatures(10):
-        if (p, q) == (1, 1):
-            continue  # covered by the expected-failure test below
-        for r in range(q // 2 + 1):
-            rep = make_rep(Family("O", p, q), (r,) * p if r else ())
-            assert isolated_O(rep).isolated == t1intro_inequalities(p, q, r), (
-                f"disagreement at p={p} q={q} r={r}"
-            )
-            checked += 1
-    assert checked > 90
+    # the check leaves out (1,1), covered by the expected-failure test below
+    result = run("t1intro", 10)
+    assert result["mismatches"] == []
+    assert result["cases"] > 90
     assert time.monotonic() - t0 < 60
 
 
@@ -86,15 +70,7 @@ def test_criterion_1_at_signature_1_1():
 
 def test_criterion_2_defect_formula_matches_brute_force():
     t0 = time.monotonic()
-    for n in range(1, 13):
-        for b in range(1, n + 1):
-            if n % b:
-                continue
-            a = n // b
-            for p in range(n + 1):
-                best, uniform = lemC_bruteforce(a, b, p)
-                assert best == N(b, n, p), f"n={n} b={b} p={p}"
-                assert uniform, f"mixed parity at n={n} b={b} p={p}"
+    assert run("lemC", 12) == {"name": "lemC", "scale": 12, "cases": 299, "mismatches": []}
     assert time.monotonic() - t0 < 10
 
 
@@ -110,14 +86,8 @@ def test_criterion_3_closed_form_matches_invariant_computation():
             for degree, dim in full_cohomology(rep):
                 rebuilt[degree] = dim
             assert IntPoly(rebuilt) == closed, f"mismatch at {rep!r}"
-    for total in range(2, 6):
-        for a in range(1, total):
-            b = total - a
-            group, chi = _group_and_module((("quat", a, b),))
-            direct = invariant_poincare(group, chi)
-            assert direct == gaussian_binomial(a + b, a).inflate(4), (
-                f"quaternionic block {a}x{b}"
-            )
+    # hermitian and quaternionic blocks with a + b <= 5
+    assert run("gaussian", 5)["mismatches"] == []
     assert time.monotonic() - t0 < 300
 
 
@@ -125,12 +95,9 @@ def test_criterion_3_closed_form_matches_invariant_computation():
 
 
 def test_criterion_4_explicit_isolation_equals_search():
-    for p, q in signatures(8):
-        for rep in enumerate_reps(Family("U", p, q)):
-            assert (
-                isolated_U_explicit(rep).isolated
-                == isolated_U_search(rep).isolated
-            ), f"criteria disagree at {rep!r}"
+    result = run("isolation", 8)
+    assert result["mismatches"] == []
+    assert result["cases"] == 4015
 
 
 # 5. smallest positive degree equals the family threshold -------------------
@@ -301,7 +268,7 @@ def test_criterion_11_cli_determinism(capsys):
     assert first == second
     # every JSON document in the battery parses and self-identifies
     for argv, blob in zip(BATTERY, first):
-        if "--format" in argv or argv[0] == "verify":
+        if "--format" in argv:
             continue
         doc = json.loads(blob)
         assert doc["schema"] == 1

@@ -15,6 +15,7 @@ from cohomreps import (
     relth_coverage,
     trivial_rep,
 )
+from cohomreps.checks import run
 
 
 class TestDefectFormula:
@@ -37,14 +38,7 @@ class TestDefectFormula:
             N(0, 4, 1)
 
     def test_matches_brute_force_spot(self):
-        for n in (4, 6):
-            for b in range(1, n + 1):
-                if n % b:
-                    continue
-                for p in range(n + 1):
-                    best, uniform = lemC_bruteforce(n // b, b, p)
-                    assert best == N(b, n, p)
-                    assert uniform
+        assert run("lemC", 6)["mismatches"] == []
 
 
 def test_brute_force_small():

@@ -15,6 +15,7 @@ from cohomreps import (
     SignatureMismatch,
     adams,
     exterior_powers,
+    group_and_module,
     invariant_poincare,
     trivial_multiplicity,
 )
@@ -99,9 +100,7 @@ def test_genuine_series_matches_newton():
 
 
 def test_genuine_series_on_quaternionic_block():
-    from cohomreps.reps import _group_and_module
-
-    _, chi = _group_and_module((("quat", 1, 2),))
+    _, chi = group_and_module((("quat", 1, 2),))
     direct = packed_series(chi)
     newton = exterior_powers(chi, chi.dimension())
     assert direct == newton

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cohomreps import __version__
+from cohomreps import __version__, checks
 from cohomreps.cli import main
 
 
@@ -133,9 +133,18 @@ def test_restrict_top_mode(capsys):
     ],
 )
 def test_verify_passes(capsys, argv):
-    code, out = run(capsys, *argv)
+    code, doc = run_json(capsys, *argv)
     assert code == 0
-    assert out.strip().split("\n")[-1] == "PASS"
+    assert doc["ok"] is True
+    assert all(c["cases"] > 0 and not c["mismatches"] for c in doc["checks"])
+
+
+def test_verify_mismatch_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(checks.CHECKS, "lemC", lambda scale: [("a", True), ("b", False)])
+    code, doc = run_json(capsys, "verify", "lemC", "--max-n", "2")
+    assert code == 1
+    assert doc["ok"] is False
+    assert doc["checks"] == [{"name": "lemC", "scale": 2, "cases": 2, "mismatches": ["b"]}]
 
 
 def test_usage_error_exits_2(capsys):

@@ -63,6 +63,11 @@ class TestCanonical:
         with pytest.raises(ValueError):
             canonical([2, 0, 1])
 
+    @pytest.mark.parametrize("parts", [(1.7,), [True, False], [2, 1.0], ["1"]])
+    def test_rejects_non_int_parts(self, parts):
+        with pytest.raises(ValueError, match="integers"):
+            canonical(parts)
+
 
 def test_weight_and_length():
     assert weight((3, 1)) == 4
@@ -202,6 +207,12 @@ def test_format_and_parse_roundtrip():
         parse_partition("nope")
     with pytest.raises(ValueError):
         parse_partition('{"a": 1}')
+
+
+@pytest.mark.parametrize("text", ["[true]", "[2, false]", "[1.5]", '["1"]'])
+def test_parse_rejects_non_int_parts(text):
+    with pytest.raises(ValueError, match="integers"):
+        parse_partition(text)
 
 
 @settings(max_examples=200, deadline=None)

@@ -38,6 +38,11 @@ class TestFamily:
         with pytest.raises(DomainError):
             Family("U", 0, 2)
 
+    @pytest.mark.parametrize("p, q", [(2.0, 2), (True, 2), (2, False), (2, "2"), (2, None)])
+    def test_non_int_signature(self, p, q):
+        with pytest.raises(DomainError, match="integers"):
+            Family("U", p, q)
+
     def test_r_G_values(self):
         assert r_G(Family("U", 2, 3)) == 2
         assert r_G(Family("O", 3, 4)) == 3
@@ -142,14 +147,14 @@ def test_lp_character_dimensions():
 
 
 def test_lp_character_checks_the_module_dimension(monkeypatch):
-    build = reps._group_and_module
+    build = reps.group_and_module
 
     def drop_a_weight(tags):
         group, chi = build(tags)
         weights = [w for w, c in chi.terms.items() for _ in range(c)]
         return group, Character.from_weights(chi.rank, weights[1:])
 
-    monkeypatch.setattr(reps, "_group_and_module", drop_a_weight)
+    monkeypatch.setattr(reps, "group_and_module", drop_a_weight)
     with pytest.raises(InvariantViolation, match="dimension 11"):
         lp_character(trivial_rep(Family("U", 2, 3)))
 
