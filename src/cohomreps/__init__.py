@@ -68,6 +68,7 @@ from .partitions import (
     Rectangle,
     SkewDecomposition,
     canonical,
+    compatible_pairs,
     complement,
     conjugate,
     contains,
@@ -76,6 +77,7 @@ from .partitions import (
     is_compatible,
     is_orthogonal,
     orthogonal_decomposition,
+    orthogonal_partitions,
     parse_partition,
     rectangle_decomposition,
     skew_box_set,

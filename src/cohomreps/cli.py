@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__, checks
@@ -288,7 +289,8 @@ def _cmd_verify(args) -> int:
     }
     names = list(checks.CHECKS) if args.subject == "all" else [args.subject]
     results = [checks.run(name, scales[name]) for name in names]
-    ok = not any(result["mismatches"] for result in results)
+    # a check that ran no cases checked nothing, so it does not pass
+    ok = all(result["cases"] and not result["mismatches"] for result in results)
     _emit(_payload("verify", vars(args), {"checks": results, "ok": ok}), "json")
     return 0 if ok else 1
 
@@ -304,7 +306,7 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def _dispatch(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -320,6 +322,19 @@ def main(argv=None) -> int:
         }
         print(json.dumps(error, sort_keys=True, indent=2))
         return 3
+
+
+def main(argv=None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (as in `cohomreps enumerate U 5 5 | head`).
+        # Python flushes stdout again at exit; send that flush to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -77,8 +77,7 @@ def _require_in_box(lam: Partition, p: int, q: int) -> Partition:
 
 def complement(lam: Partition, p: int, q: int) -> Partition:
     """180-degree rotated complement of lam inside the p x q box."""
-    lam = _require_in_box(lam, p, q)
-    padded = lam + (0,) * (p - len(lam))
+    padded = _padded(_require_in_box(lam, p, q), p)
     return canonical(tuple(q - padded[p - 1 - i] for i in range(p)))
 
 
@@ -128,51 +127,100 @@ class SkewDecomposition:
         return len(self.boxes)
 
 
+def _skew_runs(lam_pad: tuple, mu_pad: tuple) -> Optional[list]:
+    """The rectangles of mu/lam as row runs, or None if the pair is not compatible.
+
+    The compatibility rule, trusting its input: the rows are padded to the
+    box height, lam_pad is a partition and mu_pad contains it. Row r of the
+    skew occupies the column interval (lam_r, mu_r]. Two consecutive
+    nonempty rows belong to one rectangle exactly when their intervals
+    coincide; if the intervals overlap without being equal, some connected
+    component is not a rectangle. Rows with disjoint intervals start a new
+    rectangle strictly down and to the left, touching the previous one in
+    at most a corner. A run is (first_row, last_row, lo, hi), 1-based rows,
+    columns in (lo, hi].
+    """
+    runs = []
+    for r, (lo, hi) in enumerate(zip(lam_pad, mu_pad), start=1):
+        if lo == hi:
+            continue
+        if runs and runs[-1][1] == r - 1:  # the row above is nonempty
+            first, _, above_lo, above_hi = runs[-1]
+            if (above_lo, above_hi) == (lo, hi):
+                runs[-1] = (first, r, lo, hi)
+                continue
+            # Intervals weakly shrink leftwards down the rows, so the row
+            # above meets this one iff it starts strictly left of this
+            # one's right end.
+            if above_lo < hi:
+                return None
+        runs.append((r, r, lo, hi))
+    return runs
+
+
+def _decomposition(runs) -> SkewDecomposition:
+    """The SkewDecomposition of a sequence of row runs."""
+    return SkewDecomposition(
+        rectangles=tuple(Rectangle(b - a + 1, hi - lo) for a, b, lo, hi in runs),
+        anchors=tuple((a, lo + 1) for a, b, lo, hi in runs),
+        boxes=frozenset(
+            (r, c) for a, b, lo, hi in runs for r in range(a, b + 1) for c in range(lo + 1, hi + 1)
+        ),
+    )
+
+
+def _padded(lam: Partition, p: int) -> tuple:
+    return lam + (0,) * (p - len(lam))
+
+
 def rectangle_decomposition(
     lam: Partition, mu: Partition, p: int, q: int
 ) -> SkewDecomposition:
-    """Split mu/lam into maximal rectangles or raise NotCompatible.
-
-    Row r of the skew occupies the column interval (lam_r, mu_r]. Two
-    consecutive nonempty rows belong to one rectangle exactly when their
-    intervals coincide; if the intervals overlap without being equal, some
-    connected component is not a rectangle and the pair is rejected. Rows
-    with disjoint intervals start a new rectangle strictly down and to the
-    left, touching the previous one in at most a corner.
-    """
+    """Split mu/lam into maximal rectangles or raise NotCompatible."""
     lam = canonical(lam)
     mu = _require_in_box(mu, p, q)
     if not contains(lam, mu):
         raise NotNested(f"{lam} is not contained in {mu}")
-    lam_pad = lam + (0,) * (p - len(lam))
-    mu_pad = mu + (0,) * (p - len(mu))
+    lam_pad, mu_pad = _padded(lam, p), _padded(mu, p)
+    runs = _skew_runs(lam_pad, mu_pad)
+    if runs is None:
+        r = next(r for r in range(2, p + 1) if _skew_runs(lam_pad[:r], mu_pad[:r]) is None)
+        raise NotCompatible(
+            f"skew of ({lam}, {mu}) in {p}x{q}: rows {r - 1} and {r} "
+            "overlap in more than a corner"
+        )
+    return _decomposition(runs)
 
-    runs = []  # (first_row, last_row, col_lo, col_hi) with cols in (lo, hi]
-    prev_nonempty = None  # row index of the last nonempty row seen
-    for r in range(1, p + 1):
-        lo, hi = lam_pad[r - 1], mu_pad[r - 1]
-        if lo == hi:
-            continue
-        if runs and prev_nonempty == r - 1 and (runs[-1][2], runs[-1][3]) == (lo, hi):
-            runs[-1] = (runs[-1][0], r, lo, hi)
-        else:
-            # Intervals weakly shrink leftwards down the rows, so the
-            # previous row's interval meets this one iff it starts strictly
-            # left of this one's right end.
-            if runs and prev_nonempty == r - 1 and runs[-1][2] < hi:
-                raise NotCompatible(
-                    f"skew of ({lam}, {mu}) in {p}x{q}: rows {r - 1} and {r} "
-                    "overlap in more than a corner"
-                )
-            runs.append((r, r, lo, hi))
-        prev_nonempty = r
 
-    rectangles = tuple(Rectangle(b - a + 1, hi - lo) for a, b, lo, hi in runs)
-    anchors = tuple((a, lo + 1) for a, b, lo, hi in runs)
-    boxes = frozenset(
-        (r, c) for a, b, lo, hi in runs for r in range(a, b + 1) for c in range(lo + 1, hi + 1)
-    )
-    return SkewDecomposition(rectangles=rectangles, anchors=anchors, boxes=boxes)
+def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
+    """Every compatible pair in the p x q box as (lam, mu, decomposition).
+
+    The pairs come in (lam, mu) lex order. For each lam, mu is built row by
+    row, and row r only takes values that keep the skew compatible: the
+    empty row mu_r = lam_r; the rectangle above continued, mu_r = mu_(r-1),
+    when row r-1 is nonempty and lam_r = lam_(r-1); or a new rectangle
+    ending at most at column lam_(r-1) (q for the first row), so it starts
+    strictly down and to the left of the one above. An empty row always
+    fits, so every partial mu completes and the work is proportional to
+    the output; no incompatible pair is ever built.
+    """
+
+    def rows(lam, edges, mu, runs):
+        # edges = (q, lam_1, ..., lam_p); mu and runs cover the rows so far
+        i = len(mu)
+        if i == p:
+            yield lam, mu[: p - mu.count(0)], _decomposition(runs)
+            return
+        lo = edges[i + 1]
+        yield from rows(lam, edges, mu + (lo,), runs)
+        if i and lo == edges[i] and mu[-1] > lo:
+            run = (runs[-1][0], i + 1, lo, mu[-1])
+            yield from rows(lam, edges, mu + (mu[-1],), runs[:-1] + (run,))
+        for hi in range(lo + 1, edges[i] + 1):
+            yield from rows(lam, edges, mu + (hi,), runs + ((i + 1, i + 1, lo, hi),))
+
+    for lam in enumerate_partitions_in_box(p, q):
+        yield from rows(lam, (q,) + _padded(lam, p), (), ())
 
 
 def is_compatible(lam: Partition, mu: Partition, p: int, q: int) -> bool:
@@ -208,7 +256,12 @@ def orthogonal_decomposition(lam: Partition, p: int, q: int) -> OrthogonalDecomp
         skew = rectangle_decomposition(lam, mu, p, q)
     except NotCompatible as exc:
         raise NotOrthogonal(str(exc)) from exc
+    return _palindrome(lam, skew, p, q)
 
+
+def _palindrome(
+    lam: Partition, skew: SkewDecomposition, p: int, q: int
+) -> OrthogonalDecomposition:
     rects, anchors = skew.rectangles, skew.anchors
     m = len(rects)
     # The skew of (lam, complement(lam)) is centrally symmetric, so the
@@ -228,6 +281,24 @@ def orthogonal_decomposition(lam: Partition, p: int, q: int) -> OrthogonalDecomp
     pairs = rects[: m // 2]
     center = tuple(rects[m // 2]) if m % 2 else (0, 0)
     return OrthogonalDecomposition(skew=skew, pairs=pairs, center=center)
+
+
+def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
+    """Every orthogonal lam in the p x q box as (lam, complement, decomposition).
+
+    Lex order in lam. The padded complement is plain arithmetic on the
+    padded rows, and the skew goes through the same compatibility rule as
+    rectangle_decomposition; the palindrome tripwire runs on every result.
+    """
+    for lam in enumerate_partitions_in_box(p, q):
+        lam_pad = _padded(lam, p)
+        comp_pad = tuple(q - x for x in reversed(lam_pad))
+        if any(x > y for x, y in zip(lam_pad, comp_pad)):
+            continue
+        runs = _skew_runs(lam_pad, comp_pad)
+        if runs is not None:
+            comp = comp_pad[: p - comp_pad.count(0)]
+            yield lam, comp, _palindrome(lam, _decomposition(runs), p, q)
 
 
 def is_orthogonal(lam: Partition, p: int, q: int) -> bool:

@@ -33,11 +33,11 @@ from .partitions import (
     OrthogonalDecomposition,
     SkewDecomposition,
     canonical,
+    compatible_pairs,
     complement,
-    enumerate_partitions_in_box,
     format_partition,
-    is_compatible,
     orthogonal_decomposition,
+    orthogonal_partitions,
     rectangle_decomposition,
 )
 from .polynomials import ONE, IntPoly, gaussian_binomial
@@ -110,46 +110,42 @@ def make_rep(family: Family, lam, mu=None, flag=None) -> CohRep:
                 "for the orthogonal family the second partition is the "
                 f"complement {comp} of the first"
             )
-        return CohRep(
-            family=family,
-            lam=lam,
-            mu=comp,
-            flag=None,
-            skew=orth.skew,
-            orth=orth,
-            R=sum(lam),
-            sign_multiplicity="unresolved",
-        )
+        return _rep(family, lam, comp, None, orth.skew, orth)
 
     if mu is None:
         raise DomainError(f"family {family.kind} needs both partitions")
     mu = canonical(mu)
     skew = rectangle_decomposition(lam, mu, p, q)
-    areas = sum(a * b for a, b in skew.rectangles)
-    comp_weight = p * q - sum(mu)  # size of the complement of mu
-
     if family.kind == "U":
         if flag is not None:
             raise WrongFamily("the flag parameter belongs to the Sp family")
-        R = p * q - areas
-        _check_R(R, sum(lam) + comp_weight, lam, mu)
-        return CohRep(family, lam, mu, None, skew, None, R, None)
-
-    # Sp family
-    if flag not in (0, 1):
+    elif flag not in (0, 1):
         raise DomainError("the Sp family needs flag 0 or 1")
-    if flag == 0 and not admits_flag_zero(lam, mu, p):
+    elif flag == 0 and not admits_flag_zero(lam, mu, p):
         raise DomainError(
             "flag 0 requires the bottom box row to lie inside the skew "
             "shape; this pair only admits flag 1"
         )
-    if flag == 1:
-        R = 2 * p * q - areas
-        _check_R(R, p * q + sum(lam) + comp_weight, lam, mu)
+    return _rep(family, lam, mu, flag, skew)
+
+
+def _rep(family: Family, lam, mu, flag, skew, orth=None) -> CohRep:
+    """A rep from a valid parameter and its decomposition; checks R."""
+    if family.kind == "O":
+        return CohRep(family, lam, mu, None, skew, orth, sum(lam), "unresolved")
+    pq = family.p * family.q
+    areas = sum(a * b for a, b in skew.rectangles)
+    expected = sum(lam) + pq - sum(mu)  # lam plus the complement of mu
+    if family.kind == "U":
+        R = pq - areas
+    elif flag == 1:
+        R = 2 * pq - areas
+        expected += pq
     else:
         a, b = skew.rectangles[-1]
-        R = 2 * p * q - 2 * a * b - (areas - a * b)
-        _check_R(R, p * q - a * b + sum(lam) + comp_weight, lam, mu)
+        R = 2 * pq - 2 * a * b - (areas - a * b)
+        expected += pq - a * b
+    _check_R(R, expected, lam, mu)
     return CohRep(family, lam, mu, flag, skew, None, R, None)
 
 
@@ -164,25 +160,16 @@ def trivial_rep(family: Family) -> CohRep:
 @lru_cache(maxsize=None)
 def _enumerate_cached(kind: str, p: int, q: int):
     fam = Family(kind, p, q)
-    parts = list(enumerate_partitions_in_box(p, q))
-    reps = []
     if kind == "O":
-        for lam in parts:
-            try:
-                reps.append(make_rep(fam, lam))
-            except NotOrthogonal:
-                pass
-        return tuple(reps)
-    for lam in parts:
-        for mu in parts:
-            if not is_compatible(lam, mu, p, q):
-                continue
-            if kind == "U":
-                reps.append(make_rep(fam, lam, mu))
-            else:
-                if admits_flag_zero(lam, mu, p):
-                    reps.append(make_rep(fam, lam, mu, flag=0))
-                reps.append(make_rep(fam, lam, mu, flag=1))
+        return tuple(
+            _rep(fam, lam, mu, None, orth.skew, orth)
+            for lam, mu, orth in orthogonal_partitions(p, q)
+        )
+    reps = []
+    for lam, mu, skew in compatible_pairs(p, q):
+        if kind == "Sp" and admits_flag_zero(lam, mu, p):
+            reps.append(_rep(fam, lam, mu, 0, skew))
+        reps.append(_rep(fam, lam, mu, 1 if kind == "Sp" else None, skew))
     return tuple(reps)
 
 

@@ -95,9 +95,9 @@ def test_criterion_3_closed_form_matches_invariant_computation():
 
 
 def test_criterion_4_explicit_isolation_equals_search():
-    result = run("isolation", 8)
+    result = run("isolation", 9)
     assert result["mismatches"] == []
-    assert result["cases"] == 4015
+    assert result["cases"] == 11429
 
 
 # 5. smallest positive degree equals the family threshold -------------------
@@ -107,7 +107,7 @@ VANISHING_EXCEPTIONS = {("O", 1, 1), ("O", 2, 2), ("Sp", 1, 1)}
 
 def test_criterion_5_minimal_positive_degree():
     for kind in ("U", "O", "Sp"):
-        for p, q in signatures(8):
+        for p, q in signatures(9):
             if (kind, p, q) in VANISHING_EXCEPTIONS:
                 continue
             fam = Family(kind, p, q)
@@ -155,7 +155,7 @@ def test_criterion_6_empty_skew_never_isolated():
     judges = {"U": isolated_U_search, "O": isolated_O, "Sp": isolated_Sp}
     found = 0
     for kind in ("U", "O", "Sp"):
-        for p, q in signatures(8):
+        for p, q in signatures(9):
             if (kind, p, q) == ("O", 1, 1):
                 continue  # single parameter, nothing to be non-isolated from
             for rep in enumerate_reps(Family(kind, p, q)):
@@ -171,7 +171,7 @@ def test_criterion_6_empty_skew_never_isolated():
 
 def test_criterion_7_poincare_duality():
     for kind in ("U", "O", "Sp"):
-        for p, q in signatures(8):
+        for p, q in signatures(9):
             for rep in enumerate_reps(Family(kind, p, q)):
                 poly = poincare_closed(rep)
                 assert poly.coeffs[: rep.R] == (0,) * rep.R

@@ -1,6 +1,10 @@
 """Command line behavior: payload shapes, exit codes, self-verification."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +149,31 @@ def test_verify_mismatch_exits_1(capsys, monkeypatch):
     assert code == 1
     assert doc["ok"] is False
     assert doc["checks"] == [{"name": "lemC", "scale": 2, "cases": 2, "mismatches": ["b"]}]
+
+
+def test_verify_fails_a_check_with_no_cases(capsys):
+    # no signature has p + q <= 1
+    code, doc = run_json(capsys, "verify", "t1intro", "--max-pq", "1")
+    assert code == 1
+    assert doc["ok"] is False
+    assert doc["checks"] == [{"name": "t1intro", "scale": 1, "cases": 0, "mismatches": []}]
+
+
+def test_closed_stdout_is_not_a_traceback():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    argv = [sys.executable, "-m", "cohomreps.cli", "enumerate", "U", "4", "4"]
+    with subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        # the payload is larger than a pipe buffer, so the writer is still
+        # busy when the read end closes
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in stderr
+    assert stderr == b""
 
 
 def test_usage_error_exits_2(capsys):

@@ -1,5 +1,7 @@
 """Partition and skew-shape combinatorics."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from cohomreps import (
     NotOrthogonal,
     Rectangle,
     canonical,
+    compatible_pairs,
     complement,
     conjugate,
     contains,
@@ -19,6 +22,7 @@ from cohomreps import (
     is_compatible,
     is_orthogonal,
     orthogonal_decomposition,
+    orthogonal_partitions,
     parse_partition,
     rectangle_decomposition,
     skew_box_set,
@@ -142,6 +146,35 @@ class TestRectangleDecomposition:
         dec = rectangle_decomposition((), (2, 2), 2, 2)
         assert dec.rectangles == (Rectangle(2, 2),)
         assert dec.box_count == 4
+
+
+def test_incompatible_pair_names_the_overlapping_rows():
+    with pytest.raises(NotCompatible, match="rows 2 and 3 overlap"):
+        rectangle_decomposition((2, 1), (3, 2, 2), 3, 3)
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 3), (2, 3), (3, 2), (3, 4), (4, 4)])
+def test_compatible_pairs_filter_the_box_product(p, q):
+    pairs = compatible_pairs(p, q)
+    assert inspect.isgenerator(pairs)
+    parts = list(enumerate_partitions_in_box(p, q))
+    assert list(pairs) == [
+        (lam, mu, rectangle_decomposition(lam, mu, p, q))
+        for lam in parts
+        for mu in parts
+        if is_compatible(lam, mu, p, q)
+    ]
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (2, 5), (3, 3), (4, 3), (4, 4)])
+def test_orthogonal_partitions_filter_the_box(p, q):
+    shapes = orthogonal_partitions(p, q)
+    assert inspect.isgenerator(shapes)
+    assert list(shapes) == [
+        (lam, complement(lam, p, q), orthogonal_decomposition(lam, p, q))
+        for lam in enumerate_partitions_in_box(p, q)
+        if is_orthogonal(lam, p, q)
+    ]
 
 
 def test_is_compatible_never_raises():

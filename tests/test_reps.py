@@ -10,9 +10,12 @@ from cohomreps import (
     InvariantViolation,
     NotOrthogonal,
     WrongFamily,
+    admits_flag_zero,
+    enumerate_partitions_in_box,
     enumerate_reps,
     full_cohomology,
     hodge_type,
+    is_compatible,
     lp_character,
     make_rep,
     poincare_closed,
@@ -21,8 +24,9 @@ from cohomreps import (
     text_form,
     trivial_rep,
 )
-from cohomreps import reps
-from cohomreps.reps import _real_center_poincare
+from cohomreps import partitions, reps
+from cohomreps.checks import signatures
+from cohomreps.reps import FAMILIES, _real_center_poincare
 
 
 class TestFamily:
@@ -118,6 +122,50 @@ def test_enumeration_counts():
     assert len(enumerate_reps(Family("O", 1, 1))) == 1
     assert len(enumerate_reps(Family("O", 2, 2))) == 4
     assert len(enumerate_reps(Family("Sp", 1, 1))) == 4
+
+
+def scan_reps(fam):
+    """Reference enumeration: make_rep on every compatible pair of box partitions."""
+    p, q = fam.p, fam.q
+    parts = list(enumerate_partitions_in_box(p, q))
+    found = []
+    if fam.kind == "O":
+        for lam in parts:
+            try:
+                found.append(make_rep(fam, lam))
+            except NotOrthogonal:
+                pass
+        return found
+    for lam in parts:
+        for mu in parts:
+            if not is_compatible(lam, mu, p, q):
+                continue
+            if fam.kind == "U":
+                found.append(make_rep(fam, lam, mu))
+            else:
+                if admits_flag_zero(lam, mu, p):
+                    found.append(make_rep(fam, lam, mu, flag=0))
+                found.append(make_rep(fam, lam, mu, flag=1))
+    return found
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_enumeration_equals_quadratic_scan(kind):
+    for p, q in signatures(9):
+        fam = Family(kind, p, q)
+        assert list(enumerate_reps(fam)) == scan_reps(fam), f"{kind}({p},{q})"
+
+
+def test_enumeration_decomposes_each_pair_once(monkeypatch):
+    def revalidated(*args, **kwargs):
+        raise AssertionError("enumeration went back through the validating path")
+
+    for module in (reps, partitions):
+        for name in ("make_rep", "is_compatible", "rectangle_decomposition", "orthogonal_decomposition"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, revalidated)
+    for kind in FAMILIES:
+        assert reps._enumerate_cached.__wrapped__(kind, 3, 4)
 
 
 def test_enumeration_is_sorted_and_flag_zero_first():
