@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("subject", choices=[*checks.CHECKS, "all"])
     p_ver.add_argument("--max-n", type=int, default=12)
     p_ver.add_argument("--max-rank", type=int, default=4)
-    p_ver.add_argument("--max-pq", type=int, default=8)
+    p_ver.add_argument("--max-pq", type=int, default=9)
 
     return parser
 

@@ -30,63 +30,57 @@ class IsolationVerdict:
     criterion: str
 
 
-def _pair_label(lam, mu, flag=None) -> str:
-    base = f"A[{format_partition(lam)}|{format_partition(mu)}]"
-    return base if flag is None else f"{base}_{flag}"
+@lru_cache(maxsize=None)  # one entry per group, like the unbounded _enumerate_cached
+def _index(kind: str, p: int, q: int):
+    """Map each skew cell set to the parameters of the group carrying it.
 
-
-def _orth_label(lam) -> str:
-    return f"A[{format_partition(lam)}]"
-
-
-@lru_cache(maxsize=None)
-def _pair_index(p: int, q: int):
-    """Map each skew cell set to the compatible pairs carrying it.
-
-    Entries are (lam, mu, last_rectangle, admits_flag_zero); the last
-    rectangle is None for the empty skew shape.
+    Entries are (label, last_rectangle, admits_flag_zero): the label is the
+    witness string, and the last rectangle is None for the empty skew shape.
+    The quaternionic family searches the unitary index, which holds the
+    same pairs.
     """
+    name = lru_cache(maxsize=None)(format_partition)  # once per partition
     index = {}
-    for rep in enumerate_reps(Family("U", p, q)):
+    for rep in enumerate_reps(Family(kind, p, q)):
+        body = name(rep.lam) if kind == "O" else f"{name(rep.lam)}|{name(rep.mu)}"
         rects = rep.skew.rectangles
-        last = tuple(rects[-1]) if rects else None
+        last = rects[-1] if rects else None
         index.setdefault(rep.skew.boxes, []).append(
-            (rep.lam, rep.mu, last, admits_flag_zero(rep.lam, rep.mu, p))
+            (f"A[{body}]", last, admits_flag_zero(rep.lam, rep.mu, p))
         )
     return {k: tuple(v) for k, v in index.items()}
 
 
-@lru_cache(maxsize=None)
-def _orth_index(p: int, q: int):
-    index = {}
-    for rep in enumerate_reps(Family("O", p, q)):
-        index.setdefault(rep.skew.boxes, []).append(rep.lam)
-    return {k: tuple(v) for k, v in index.items()}
+def _variants(boxes, p, q, moves, grow_only):
+    """Cell sets of the p x q box reached from `boxes` by changing `moves`
+    cells: k removed and moves - k added, or only added when growing."""
+    grid = ((r, c) for r in range(1, p + 1) for c in range(1, q + 1))
+    outside = [cell for cell in grid if cell not in boxes]
+    for k in range(1 if grow_only else moves + 1):
+        for removed in combinations(boxes, k):
+            shrunk = boxes.difference(removed)
+            for added in combinations(outside, moves - k):
+                yield shrunk.union(added)
 
 
-def _grid(p: int, q: int):
-    return [(r, c) for r in range(1, p + 1) for c in range(1, q + 1)]
+def _search(rep: CohRep, grow_only=False, block=None, extra=()) -> IsolationVerdict:
+    """Collect the parameters at one-box distance (two for O) from `rep`.
 
-
-def _one_box_variants(boxes, p, q, grow_only=False):
-    for cell in _grid(p, q):
-        if cell not in boxes:
-            yield boxes | {cell}
-        elif not grow_only:
-            yield boxes - {cell}
-
-
-def _two_box_variants(boxes, p, q, grow_only=False):
-    outside = [c for c in _grid(p, q) if c not in boxes]
-    for pair in combinations(outside, 2):
-        yield boxes | set(pair)
-    if grow_only:
-        return
-    for pair in combinations(sorted(boxes), 2):
-        yield boxes - set(pair)
-    for cin in sorted(boxes):
-        for cout in outside:
-            yield (boxes - {cin}) | {cout}
+    With a block, only neighbors admitting flag 0 whose last rectangle is
+    that block count, labelled as flag 0; `extra` adds condition strings.
+    """
+    kind, p, q = rep.family.kind, rep.family.p, rep.family.q
+    orth = kind == "O"
+    index = _index("O" if orth else "U", p, q)
+    witnesses = set(extra)
+    for variant in _variants(rep.skew.boxes, p, q, 2 if orth else 1, grow_only):
+        for label, last, admits in index.get(variant, ()):
+            if block is None:
+                witnesses.add(label)
+            elif admits and last == block:
+                witnesses.add(label + "_0")
+    wits = tuple(sorted(witnesses))
+    return IsolationVerdict(not wits, wits, "search")
 
 
 def _require(rep: CohRep, kind: str) -> None:
@@ -100,14 +94,7 @@ def _require(rep: CohRep, kind: str) -> None:
 def isolated_U_search(rep: CohRep) -> IsolationVerdict:
     """Unitary-dual isolation by exhausting one-box neighbors."""
     _require(rep, "U")
-    p, q = rep.family.p, rep.family.q
-    index = _pair_index(p, q)
-    witnesses = set()
-    for variant in _one_box_variants(rep.skew.boxes, p, q):
-        for lam, mu, _, _ in index.get(frozenset(variant), ()):
-            witnesses.add(_pair_label(lam, mu))
-    wits = tuple(sorted(witnesses))
-    return IsolationVerdict(not wits, wits, "search")
+    return _search(rep)
 
 
 def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
@@ -150,25 +137,7 @@ def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
 def isolated_O(rep: CohRep) -> IsolationVerdict:
     """Unitary-dual isolation for the orthogonal family (two-box search)."""
     _require(rep, "O")
-    p, q = rep.family.p, rep.family.q
-    index = _orth_index(p, q)
-    witnesses = set()
-    for variant in _two_box_variants(rep.skew.boxes, p, q):
-        for lam in index.get(frozenset(variant), ()):
-            witnesses.add(_orth_label(lam))
-    wits = tuple(sorted(witnesses))
-    return IsolationVerdict(not wits, wits, "search")
-
-
-def _sp_zero_conditions(rep: CohRep):
-    a, b = rep.skew.rectangles[-1]
-    conds = []
-    if a + b < 3:
-        conds.append(
-            f"the quaternionic block is {a}x{b}; isolation needs its "
-            "side lengths to sum to at least 3"
-        )
-    return (a, b), conds
+    return _search(rep)
 
 
 def isolated_Sp(rep: CohRep) -> IsolationVerdict:
@@ -180,24 +149,16 @@ def isolated_Sp(rep: CohRep) -> IsolationVerdict:
     big enough on its own.
     """
     _require(rep, "Sp")
-    p, q = rep.family.p, rep.family.q
-    index = _pair_index(p, q)
-    witnesses = set()
     if rep.flag == 1:
-        for variant in _one_box_variants(rep.skew.boxes, p, q):
-            for lam, mu, _, _ in index.get(frozenset(variant), ()):
-                witnesses.add(_pair_label(lam, mu))
-        wits = tuple(sorted(witnesses))
-        return IsolationVerdict(not wits, wits, "search")
-
-    block, conds = _sp_zero_conditions(rep)
-    witnesses.update(conds)
-    for variant in _one_box_variants(rep.skew.boxes, p, q):
-        for lam, mu, last, admits in index.get(frozenset(variant), ()):
-            if admits and last == block:
-                witnesses.add(_pair_label(lam, mu, flag=0))
-    wits = tuple(sorted(witnesses))
-    return IsolationVerdict(not wits, wits, "search")
+        return _search(rep)
+    a, b = block = rep.skew.rectangles[-1]
+    conds = ()
+    if a + b < 3:
+        conds = (
+            f"the quaternionic block is {a}x{b}; isolation needs its "
+            "side lengths to sum to at least 3",
+        )
+    return _search(rep, block=block, extra=conds)
 
 
 def isolated_d0(rep: CohRep) -> IsolationVerdict:
@@ -206,26 +167,8 @@ def isolated_d0(rep: CohRep) -> IsolationVerdict:
     Only enlargements of the skew cell set matter here: one extra box for
     the unitary and quaternionic families, two for the orthogonal one.
     """
-    p, q = rep.family.p, rep.family.q
-    kind = rep.family.kind
-    witnesses = set()
-    if kind == "O":
-        index = _orth_index(p, q)
-        for variant in _two_box_variants(rep.skew.boxes, p, q, grow_only=True):
-            for lam in index.get(frozenset(variant), ()):
-                witnesses.add(_orth_label(lam))
-    else:
-        index = _pair_index(p, q)
-        restricted = kind == "Sp" and rep.flag == 0
-        block = tuple(rep.skew.rectangles[-1]) if restricted else None
-        for variant in _one_box_variants(rep.skew.boxes, p, q, grow_only=True):
-            for lam, mu, last, admits in index.get(frozenset(variant), ()):
-                if restricted and not (admits and last == block):
-                    continue
-                flag = 0 if restricted else None
-                witnesses.add(_pair_label(lam, mu, flag=flag))
-    wits = tuple(sorted(witnesses))
-    return IsolationVerdict(not wits, wits, "search")
+    block = rep.skew.rectangles[-1] if rep.flag == 0 else None
+    return _search(rep, grow_only=True, block=block)
 
 
 def t1intro_inequalities(p: int, q: int, r: int) -> bool:

@@ -95,9 +95,9 @@ def test_criterion_3_closed_form_matches_invariant_computation():
 
 
 def test_criterion_4_explicit_isolation_equals_search():
-    result = run("isolation", 9)
+    result = run("isolation", 10)
     assert result["mismatches"] == []
-    assert result["cases"] == 11429
+    assert result["cases"] == 32483
 
 
 # 5. smallest positive degree equals the family threshold -------------------
@@ -155,7 +155,7 @@ def test_criterion_6_empty_skew_never_isolated():
     judges = {"U": isolated_U_search, "O": isolated_O, "Sp": isolated_Sp}
     found = 0
     for kind in ("U", "O", "Sp"):
-        for p, q in signatures(9):
+        for p, q in signatures(10):
             if (kind, p, q) == ("O", 1, 1):
                 continue  # single parameter, nothing to be non-isolated from
             for rep in enumerate_reps(Family(kind, p, q)):

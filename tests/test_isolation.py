@@ -6,7 +6,9 @@ import pytest
 from cohomreps import (
     DomainError,
     Family,
+    IsolationVerdict,
     WrongFamily,
+    enumerate_reps,
     isolated_O,
     isolated_Sp,
     isolated_U_explicit,
@@ -16,7 +18,7 @@ from cohomreps import (
     t1intro_inequalities,
     trivial_rep,
 )
-from cohomreps.checks import run
+from cohomreps.checks import run, signatures
 
 
 class TestUnitarySearch:
@@ -120,6 +122,14 @@ class TestQuaternionic:
         verdict = isolated_Sp(rep)
         assert not verdict.isolated
 
+    def test_flag_one_matches_unitary_search(self):
+        # flag 1 searches the unitary pairs, so the whole verdict agrees
+        for p, q in signatures(8):
+            for rep in enumerate_reps(Family("Sp", p, q)):
+                if rep.flag == 1:
+                    twin = make_rep(Family("U", p, q), rep.lam, rep.mu)
+                    assert isolated_Sp(rep) == isolated_U_search(twin), f"{rep!r}"
+
     def test_wrong_family(self):
         with pytest.raises(WrongFamily):
             isolated_Sp(trivial_rep(Family("O", 2, 2)))
@@ -139,17 +149,52 @@ class TestDegreeZero:
 
     def test_weaker_than_full_isolation(self):
         # anything isolated in the unitary dual stays isolated here
-        from cohomreps import enumerate_reps
-
         for rep in enumerate_reps(Family("U", 2, 3)):
             if isolated_U_search(rep).isolated:
                 assert isolated_d0(rep).isolated
 
-    def test_sp_flag_zero_growth_keeps_the_block(self):
-        rep = make_rep(Family("Sp", 2, 3), (1,), (1, 1), flag=0)
-        verdict = isolated_d0(rep)
-        assert not verdict.isolated
-        assert verdict.witnesses == ("A[[1]|[2,1]]_0", "A[[2]|[3,1]]_0")
+
+# One exact witness tuple per search path: one box both ways (U), flag 0
+# with its block condition (Sp), and growth by one box (U, Sp flag 0) or
+# two boxes (O).
+@pytest.mark.parametrize(
+    "judge, family, lam, mu, flag, witnesses",
+    [
+        pytest.param(
+            isolated_U_search, Family("U", 2, 3), (1,), (3, 1), None,
+            ("A[[1,1]|[3,1]]", "A[[1]|[2,1]]", "A[[1]|[3]]", "A[[2]|[3,1]]"),
+            id="U-search",
+        ),
+        pytest.param(
+            isolated_Sp, Family("Sp", 2, 2), (1,), (2, 1), 0,
+            (
+                "A[[1]|[1,1]]_0",
+                "A[[2]|[2,1]]_0",
+                "the quaternionic block is 1x1; isolation needs its side "
+                "lengths to sum to at least 3",
+            ),
+            id="Sp-flag0",
+        ),
+        pytest.param(
+            isolated_d0, Family("U", 2, 3), (), (1,), None,
+            ("A[[]|[1,1]]", "A[[]|[2]]"),
+            id="U-d0",
+        ),
+        pytest.param(
+            isolated_d0, Family("Sp", 2, 3), (1,), (1, 1), 0,
+            ("A[[1]|[2,1]]_0", "A[[2]|[3,1]]_0"),
+            id="Sp-flag0-d0",
+        ),
+        pytest.param(
+            isolated_d0, Family("O", 2, 5), (3, 1), None, None,
+            ("A[[3]]",),
+            id="O-d0",
+        ),
+    ],
+)
+def test_witness_tuples(judge, family, lam, mu, flag, witnesses):
+    verdict = judge(make_rep(family, lam, mu, flag=flag))
+    assert verdict == IsolationVerdict(not witnesses, witnesses, "search")
 
 
 class TestInequalities:
