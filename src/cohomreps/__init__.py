@@ -17,12 +17,9 @@ from .autdegrees import (
 from .characters import (
     Character,
     CompactGroupSpec,
-    adams,
-    exterior_powers,
     factor_roots,
     invariant_poincare,
     standard_weights,
-    trivial_multiplicity,
 )
 from .errors import (
     BadRank,

@@ -1,31 +1,33 @@
-"""Exact character arithmetic for products of compact classical groups.
+"""Exact characters of products of compact classical groups, and the
+invariants in their exterior algebras.
 
 A character of a rank-n torus is a finite integer combination of weights,
 stored as a sparse dict mapping each exponent tuple to its multiplicity.
-Everything in this module is exact: no floats, no truncation, and any
-division that must come out exact is checked.
+Everything in this module is exact: no floats and no truncation.
 
 The group side is a product of factors U(n), SO(n), Sp(n). The invariant
-multiplicity of a character is extracted with the Weyl integration formula
-in its purely algebraic form
+multiplicity of a Weyl-invariant character f is a constant term against
+half the Weyl denominator,
 
-    mult_triv(chi) = CT(chi * D) / |W|,
+    mult_triv(f) = CT(f * prod over positive roots alpha of (1 - x^-alpha)),
 
-where D = prod over all roots alpha of (1 - x^alpha) and CT takes the
-coefficient of x^0. D factors over the group factors and is cached per
-factor. trivial_multiplicity evaluates CT(chi * D) as a lazy dot product:
-for each weight m of chi, look up the coefficient of -m in each factor's
-denominator.
+and by the Weyl denominator identity that half product is the sum over the
+Weyl group W of sgn(u) x^(u rho - rho): |W| terms, each +1 or -1. So the
+multiplicity is the sum of sgn(u) f(u rho - rho) over W, and since f is
+W-invariant each of these targets can be moved to its dominant
+representative and equal targets merged first.
 
-invariant_poincare, the engine behind the Poincare series oracle, works on
-packed weights instead of tuples. A weight w inside a box |w_i| <= B_i is
-stored as the int sum of w_i * P_i, where P_0 = 1 and
-P_(i+1) = P_i * (2 B_i + 1), so each w_i is a balanced (signed) digit.
-Packing is linear, so adding weights is adding ints, and any sum of weights
-that stays inside the box decodes uniquely. With B_i the sum of |w_i| over
-all weights of the module, every exterior-power weight stays inside the
-box. The product of the factor denominators is then expanded once, in the
-same packing, and each constant term is a dict lookup per term.
+invariant_poincare applies this to every exterior power of a module at
+once, on packed weights. A weight w with |w_i| <= 2 B_i is stored as the
+int sum of w_i * P_i, where P_0 = 1 and P_(i+1) = P_i * (4 B_i + 1), so
+each w_i is a balanced (signed) digit; packing is linear, so adding weights
+is adding ints. B_i is the sum of |w_i| over all weights of the module, so
+every exterior-power weight has |w_i| <= B_i, and the doubled range keeps a
+difference of two such weights from aliasing a third. The weights are split
+into two halves, each half's exterior series is grown on its own, and each
+target's coefficient is the meet-in-the-middle join (Horowitz and Sahni,
+JACM 21, 1974) of the two: sum over v of A[v] * B[target - v]. The full
+exterior series is never built.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
 
-from .errors import DomainError, InexactDivision, SignatureMismatch
+from .errors import DomainError, InvariantViolation, SignatureMismatch
 from .polynomials import IntPoly
 
 Weight = tuple  # tuple of ints
@@ -65,14 +67,6 @@ class Character:
         self.terms = {w: c for w, c in clean.items() if c}
 
     @classmethod
-    def zero(cls, rank: int) -> "Character":
-        return cls(rank, {})
-
-    @classmethod
-    def one(cls, rank: int) -> "Character":
-        return cls(rank, {(0,) * rank: 1})
-
-    @classmethod
     def from_weights(cls, rank: int, weights) -> "Character":
         terms = {}
         for w in weights:
@@ -83,55 +77,6 @@ class Character:
     def dimension(self) -> int:
         """Value at the identity, i.e. the sum of all multiplicities."""
         return sum(self.terms.values())
-
-    def constant_term(self) -> int:
-        return self.terms.get((0,) * self.rank, 0)
-
-    def _check(self, other: "Character") -> None:
-        if self.rank != other.rank:
-            raise SignatureMismatch(
-                f"rank mismatch: {self.rank} vs {other.rank}"
-            )
-
-    def __add__(self, other: "Character") -> "Character":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return Character(self.rank, out)
-
-    def __sub__(self, other: "Character") -> "Character":
-        self._check(other)
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) - c
-        return Character(self.rank, out)
-
-    def __mul__(self, other: "Character") -> "Character":
-        self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out = {}
-        for w1, c1 in a.items():
-            for w2, c2 in b.items():
-                w = tuple(x + y for x, y in zip(w1, w2))
-                out[w] = out.get(w, 0) + c1 * c2
-        return Character(self.rank, out)
-
-    def scale(self, k: int) -> "Character":
-        return Character(self.rank, {w: k * c for w, c in self.terms.items()})
-
-    def divide_exact(self, k: int) -> "Character":
-        out = {}
-        for w, c in self.terms.items():
-            d, r = divmod(c, k)
-            if r:
-                raise InexactDivision(
-                    f"coefficient {c} of {w} is not divisible by {k}"
-                )
-            out[w] = d
-        return Character(self.rank, out)
 
     def __eq__(self, other) -> bool:
         return (
@@ -145,113 +90,14 @@ class Character:
         return f"Character(rank={self.rank}, terms={dict(items)!r})"
 
 
-def adams(chi: Character, i: int) -> Character:
-    """The i-th Adams operation: each exponent tuple scaled by i."""
-    if i < 1:
-        raise ValueError("Adams operations are defined here for i >= 1")
-    out = {}
-    for w, c in chi.terms.items():
-        sw = tuple(i * x for x in w)
-        out[sw] = out.get(sw, 0) + c
-    return Character(chi.rank, out)
-
-
-def exterior_powers(chi: Character, kmax: int):
-    """[e_0, e_1, ..., e_kmax] via the Newton recursion.
-
-    k * e_k = sum over i in 1..k of (-1)^(i-1) * e_(k-i) * psi_i(chi).
-    For an actual (nonvirtual) character every division is exact; the check
-    is kept as an internal consistency tripwire. Powers past the dimension
-    of chi come out as zero on their own.
-    """
-    powers = [Character.one(chi.rank)]
-    psi = [adams(chi, i) for i in range(1, kmax + 1)]
-    for k in range(1, kmax + 1):
-        acc = Character.zero(chi.rank)
-        for i in range(1, k + 1):
-            term = powers[k - i] * psi[i - 1]
-            acc = acc + term if i % 2 else acc - term
-        powers.append(acc.divide_exact(k))
-    return powers
-
-
-# Upper bound on the number of terms held at once by the exterior series
-# of invariant_poincare, summed over all exterior powers. Each term costs
-# about 100 bytes, so the cap keeps the series under about 1 GB. The
-# trivial rep of U(4,4) (6.8M terms) fits; U(4,5) does not.
-SERIES_TERM_BUDGET = 8_000_000
-
-
-class _Box:
-    """Balanced mixed-radix packing of the weights in |w_i| <= bounds[i]."""
-
-    __slots__ = ("bounds", "places")
-
-    def __init__(self, bounds):
-        self.bounds = tuple(bounds)
-        places = []
-        place = 1
-        for b in self.bounds:
-            places.append(place)
-            place *= 2 * b + 1
-        self.places = tuple(places)
-
-    def contains(self, w) -> bool:
-        return all(abs(x) <= b for x, b in zip(w, self.bounds))
-
-    def pack(self, w) -> int:
-        return sum(x * p for x, p in zip(w, self.places))
-
-    def unpack(self, key: int) -> Weight:
-        out = []
-        for b in self.bounds:
-            base = 2 * b + 1
-            digit = (key + b) % base - b
-            out.append(digit)
-            key = (key - digit) // base
-        return tuple(out)
-
-
-def _pack_module(chi: Character):
-    """The smallest box holding every sum of weights of a genuine chi, and
-    the weights of chi packed in it, repeated by multiplicity."""
-    bounds = [0] * chi.rank
-    for w, c in chi.terms.items():
-        for i, x in enumerate(w):
-            bounds[i] += c * abs(x)
-    box = _Box(bounds)
-    weights = [
-        box.pack(w) for w, mult in sorted(chi.terms.items()) for _ in range(mult)
-    ]
-    return box, weights
-
-
-def _exterior_series(weights):
-    """Levels of prod over the packed weights of (1 + t x^w).
-
-    Level k maps packed weights to their multiplicity in the k-th exterior
-    power. Nothing ever cancels, so the number of live terms only grows; it
-    is counted against SERIES_TERM_BUDGET and DomainError is raised past it.
-    """
-    series = [{0: 1}]
-    live = 1
-    for w in weights:
-        series.append({})
-        for k in range(len(series) - 1, 0, -1):
-            target = series[k]
-            get = target.get
-            live -= len(target)
-            for v, c in series[k - 1].items():
-                target[v + w] = get(v + w, 0) + c
-            live += len(target)
-            if live > SERIES_TERM_BUDGET:
-                raise DomainError(
-                    f"the exterior series of this dimension-{len(weights)} "
-                    f"module needs more than {SERIES_TERM_BUDGET} terms; "
-                    "cohomology --closed-only skips it, except on the real "
-                    "central block of an orthogonal rep"
-                )
-    return series
+# Upper bound on the join work of invariant_poincare: the number of merged
+# targets times the number of distinct weights in a half series. It is
+# checked before the targets of all factors are multiplied out and as each
+# half grows, so the first half is refused before the second is built and
+# the two halves hold at most 2 * budget / targets weights. The real
+# central block of O(6,7) (3.6e7) fits; U(4,5) (1.2e8), Sp(3,4) flag 0
+# (1.4e9) and U(5,5) (5.0e9) do not.
+JOIN_WORK_BUDGET = 40_000_000
 
 
 def _check_factor(factor: Factor) -> Factor:
@@ -337,24 +183,85 @@ def standard_weights(factor: Factor):
     return weights
 
 
-@lru_cache(maxsize=None)
-def _factor_denominator(factor: Factor):
-    """Coefficients of prod over all roots of (1 - x^alpha), as a dict."""
+@lru_cache(maxsize=None)  # one entry of |W| terms per factor (kind, n) in use
+def _half_denominator(factor: Factor):
+    """prod over the positive roots alpha of (1 - x^-alpha), as a dict.
+
+    The positive roots are the ones whose first nonzero coordinate is
+    positive. By the Weyl denominator identity the result has exactly |W|
+    terms, each +1 or -1; the tests hold it to that.
+    """
     roots = factor_roots(factor)
-    box = _Box(
-        sum(abs(alpha[i]) for alpha in roots) for i in range(factor_rank(factor))
-    )
-    terms = {0: 1}
-    for alpha in map(box.pack, roots):
+    terms = {(0,) * factor_rank(factor): 1}
+    for alpha in [a for a in roots if a > (0,) * len(a)]:
         nxt = dict(terms)
         for w, c in terms.items():
-            nxt[w + alpha] = nxt.get(w + alpha, 0) - c
-        # Zeros are deleted in place: filtering into a fresh dict at every
-        # step fragments the heap that the cached result then lives in.
-        for w in [w for w, c in nxt.items() if not c]:
-            del nxt[w]
-        terms = nxt
-    return {box.unpack(w): c for w, c in terms.items()}
+            shifted = tuple(x - y for x, y in zip(w, alpha))
+            nxt[shifted] = nxt.get(shifted, 0) - c
+        terms = {w: c for w, c in nxt.items() if c}
+    return terms
+
+
+def _dominant(factor: Factor, w: Weight) -> Weight:
+    """A representative of the Weyl orbit of w, the same for the whole orbit.
+
+    U(n) permutes coordinates; Sp(n) and SO(2m+1) also flip any signs;
+    SO(2m) flips an even number of them, so when no coordinate is zero the
+    parity of the negative ones rides on the smallest.
+    """
+    kind, n = factor
+    if kind == "U":
+        return tuple(sorted(w))
+    out = sorted(map(abs, w))
+    if kind == "SO" and n % 2 == 0 and out and out[0] and sum(x < 0 for x in w) % 2:
+        out[0] = -out[0]
+    return tuple(out)
+
+
+def _over_budget() -> DomainError:
+    return DomainError(
+        f"the invariants of this module need more than {JOIN_WORK_BUDGET} "
+        "join steps; cohomology --closed-only skips them, except on "
+        "the real central block of an orthogonal rep"
+    )
+
+
+def _targets(group: CompactGroupSpec, bounds, pack, limit: int):
+    """The packed weights u rho - rho of the half denominator, moved to
+    their dominant representatives, merged, and kept only inside the box;
+    mapped to their summed signs. DomainError is raised before there would
+    be more than limit of them."""
+    targets = {0: 1}
+    for factor, (start, stop) in zip(group.factors, group.slices):
+        local_bounds = bounds[start:stop]
+        pad = (0,) * start
+        local = {}
+        for w, sign in _half_denominator(factor).items():
+            if all(abs(x) <= b for x, b in zip(w, local_bounds)):
+                key = pack(pad + _dominant(factor, w))
+                local[key] = local.get(key, 0) + sign
+        local = {k: s for k, s in local.items() if s}
+        if len(targets) * len(local) > limit:
+            raise _over_budget()
+        targets = {k1 + k2: s1 * s2 for k1, s1 in targets.items() for k2, s2 in local.items()}
+    return targets
+
+
+def _half_series(weights, shift: int, limit: int):
+    """prod over the packed weights of (1 + t x^w), keyed by packed weight.
+
+    Each value holds all its levels in one int, the multiplicity in the
+    k-th exterior power at bit offset k * shift. DomainError is raised as
+    soon as the series holds more than limit weights.
+    """
+    series = {0: 1}
+    for w in weights:
+        get = series.get
+        for v, c in list(series.items()):
+            series[v + w] = get(v + w, 0) + (c << shift)
+        if len(series) > limit:
+            raise _over_budget()
+    return series
 
 
 @dataclass(frozen=True)
@@ -389,49 +296,12 @@ class CompactGroupSpec:
         return tuple(out)
 
 
-def trivial_multiplicity(chi: Character, group: CompactGroupSpec) -> int:
-    """Multiplicity of the trivial representation in chi.
-
-    Raises InexactDivision when chi is not a genuine invariant-theoretic
-    input (for instance a non Weyl-invariant sum of weights).
-    """
-    if chi.rank != group.rank:
-        raise SignatureMismatch(
-            f"character rank {chi.rank} does not match group rank {group.rank}"
-        )
-    denoms = [_factor_denominator(f) for f in group.factors]
-    slices = group.slices
-    total = 0
-    for w, c in chi.terms.items():
-        prod = c
-        for dd, (a, b) in zip(denoms, slices):
-            neg = tuple(-x for x in w[a:b])
-            coeff = dd.get(neg, 0)
-            if not coeff:
-                prod = 0
-                break
-            prod *= coeff
-        total += prod
-    return _divide_by_weyl_order(total, group)
-
-
-def _divide_by_weyl_order(total: int, group: CompactGroupSpec) -> int:
-    mult, rem = divmod(total, group.weyl_order)
-    if rem:
-        raise InexactDivision(
-            f"constant term {total} is not divisible by the Weyl group "
-            f"order {group.weyl_order}"
-        )
-    return mult
-
-
 def invariant_poincare(group: CompactGroupSpec, chi: Character) -> IntPoly:
     """Generating polynomial of invariants in the exterior algebra of chi.
 
     Coefficient of t^j is the trivial multiplicity in the j-th exterior
-    power of the genuine character chi. Every power is expanded in full, on
-    packed weights; DomainError is raised when the series would hold more
-    than SERIES_TERM_BUDGET terms.
+    power of the genuine character chi. DomainError is raised when the join
+    would take more than JOIN_WORK_BUDGET steps.
     """
     if chi.rank != group.rank:
         raise SignatureMismatch(
@@ -439,26 +309,58 @@ def invariant_poincare(group: CompactGroupSpec, chi: Character) -> IntPoly:
         )
     if any(c < 0 for c in chi.terms.values()):
         raise DomainError("exterior powers need a genuine character")
-    box, weights = _pack_module(chi)
-    # CT(level * D) needs the coefficient of -m in D for each weight m of a
-    # level. Denominator terms outside the box match no weight and are
-    # dropped before the per-factor pieces are multiplied out.
-    denominator = {0: 1}
-    for factor, (start, _) in zip(group.factors, group.slices):
-        pad = (0,) * start
-        local = {
-            -box.pack(pad + w): c
-            for w, c in _factor_denominator(factor).items()
-            if box.contains(pad + w)
-        }
-        denominator = {
-            k1 + k2: c1 * c2
-            for k1, c1 in denominator.items()
-            for k2, c2 in local.items()
-        }
+    bounds = [0] * chi.rank
+    for w, c in chi.terms.items():
+        for i, x in enumerate(w):
+            bounds[i] += c * abs(x)
+    places = []
+    place = 1
+    for b in bounds:
+        places.append(place)
+        place *= 4 * b + 1
+
+    def pack(w):
+        return sum(x * p for x, p in zip(w, places))
+
+    weights = [pack(w) for w, mult in sorted(chi.terms.items()) for _ in range(mult)]
+    dim = len(weights)
+    # 0 and every weight of the first half are weights of its series, so
+    # the join work is at least the number of targets times this many
+    least_half = len({0, *weights[: dim // 2]})
+    targets = _targets(group, bounds, pack, JOIN_WORK_BUDGET // least_half)
+    # Level j of a join term counts j-subsets of the weights, fewer than
+    # 2^dim; the signed sum over targets stays below 2^(bits - 2).
+    bits = dim + sum(map(abs, targets.values())).bit_length() + 2
+    limit = JOIN_WORK_BUDGET // len(targets)
+    first = _half_series(weights[: dim // 2], bits, limit)
+    second = _half_series(weights[dim // 2 :], bits, limit)
+    by_sign = {}
+    for key, sign in targets.items():
+        by_sign.setdefault(sign, []).append(key)
+    # Positive and negative targets are summed apart, so every digit of
+    # pos and neg is a nonnegative count; for each v the second half is
+    # looked up at every key - v and the hits summed before one multiply.
+    pos = neg = 0
+    get = second.get
+    for v, c in first.items():
+        up = down = 0
+        for sign, keys in by_sign.items():
+            hits = sum(filter(None, map(get, map(v.__rsub__, keys))))
+            if sign > 0:
+                up += sign * hits
+            else:
+                down -= sign * hits
+        pos += c * up
+        neg += c * down
+    mask = (1 << bits) - 1
     coeffs = []
-    for level in _exterior_series(weights):
-        small, big = sorted((level, denominator), key=len)
-        total = sum(c * big.get(k, 0) for k, c in small.items())
-        coeffs.append(_divide_by_weyl_order(total, group))
+    for k in range(dim + 1):
+        p, n = (pos >> (k * bits)) & mask, (neg >> (k * bits)) & mask
+        if (p | n) >> (bits - 2):
+            raise InvariantViolation(f"level {k} of the join overflowed {bits - 2} bits")
+        coeffs.append(p - n)
+    if coeffs[0] != 1 or min(coeffs) < 0:
+        raise InvariantViolation(
+            f"invariant counts {coeffs} are not those of an exterior algebra"
+        )
     return IntPoly(coeffs)

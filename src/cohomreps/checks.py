@@ -11,7 +11,16 @@ from .autdegrees import N, lemC_bruteforce
 from .characters import invariant_poincare
 from .isolation import isolated_O, isolated_U_explicit, isolated_U_search, t1intro_inequalities
 from .polynomials import gaussian_binomial
-from .reps import Family, enumerate_reps, group_and_module, make_rep, text_form
+from .reps import (
+    FAMILIES,
+    Family,
+    enumerate_reps,
+    group_and_module,
+    make_rep,
+    poincare_closed,
+    poincare_oracle,
+    text_form,
+)
 
 
 def signatures(total: int):
@@ -41,6 +50,14 @@ def sweep_gaussian(max_rank: int):
             yield f"{style} {a}x{b}", invariant_poincare(group, chi) == expected.inflate(step)
 
 
+def sweep_poincare(max_pq: int):
+    """The closed Poincare product against the oracle, on every U, O and Sp rep."""
+    for kind in FAMILIES:
+        for p, q in signatures(max_pq):
+            for rep in enumerate_reps(Family(kind, p, q)):
+                yield text_form(rep), poincare_closed(rep) == poincare_oracle(rep)
+
+
 def sweep_t1intro(max_pq: int):
     """Orthogonal isolation of A((r^p)) by search against the inequalities."""
     for p, q in signatures(max_pq):
@@ -64,6 +81,7 @@ def sweep_isolation(max_pq: int):
 CHECKS = {
     "lemC": sweep_lemC,
     "gaussian": sweep_gaussian,
+    "poincare": sweep_poincare,
     "t1intro": sweep_t1intro,
     "isolation": sweep_isolation,
 }

@@ -284,6 +284,7 @@ def _cmd_verify(args) -> int:
     scales = {
         "lemC": args.max_n,
         "gaussian": args.max_rank,
+        "poincare": args.max_rank,
         "t1intro": args.max_pq,
         "isolation": args.max_pq,
     }

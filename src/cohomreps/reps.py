@@ -157,7 +157,7 @@ def trivial_rep(family: Family) -> CohRep:
     return make_rep(family, (), full, flag=0 if family.kind == "Sp" else None)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one entry per group; the isolation indexes hold its reps anyway
 def _enumerate_cached(kind: str, p: int, q: int):
     fam = Family(kind, p, q)
     if kind == "O":
@@ -263,7 +263,7 @@ def lp_character(rep: CohRep):
     return group, chi
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one short polynomial per block size; 36 sizes for p+q <= 9
 def _real_center_poincare(p0: int, q0: int) -> IntPoly:
     group, chi = group_and_module((("real", p0, q0),))
     return invariant_poincare(group, chi)
@@ -288,7 +288,7 @@ def poincare_closed(rep: CohRep) -> IntPoly:
     return poly.shift(rep.R)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # one short polynomial per block multiset; 398 for p+q <= 9
 def _oracle_poincare(tags) -> IntPoly:
     group, chi = group_and_module(tags)
     return invariant_poincare(group, chi)

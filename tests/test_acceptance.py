@@ -88,6 +88,9 @@ def test_criterion_3_closed_form_matches_invariant_computation():
             assert IntPoly(rebuilt) == closed, f"mismatch at {rep!r}"
     # hermitian and quaternionic blocks with a + b <= 5
     assert run("gaussian", 5)["mismatches"] == []
+    # every U, O and Sp rep with p + q <= 6; Sp(3,4) trivial is past the
+    # oracle's budget, so the sweep stops there
+    assert run("poincare", 6) == {"name": "poincare", "scale": 6, "cases": 1178, "mismatches": []}
     assert time.monotonic() - t0 < 300
 
 

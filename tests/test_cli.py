@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -134,6 +135,7 @@ def test_restrict_top_mode(capsys):
         ("verify", "t1intro", "--max-pq", "6"),
         ("verify", "isolation", "--max-pq", "6"),
         ("verify", "all", "--max-n", "6", "--max-rank", "3", "--max-pq", "5"),
+        ("verify", "poincare", "--max-rank", "4"),
     ],
 )
 def test_verify_passes(capsys, argv):
@@ -174,6 +176,24 @@ def test_closed_stdout_is_not_a_traceback():
         assert proc.wait(timeout=60) == 1
     assert b"Traceback" not in stderr
     assert stderr == b""
+
+
+# U(7,7) is refused before its million targets are multiplied out, the
+# other two while their first half series grows
+@pytest.mark.parametrize("argv", [("Sp", "3", "4", "--flag", "0"), ("U", "5", "5"), ("U", "7", "7")])
+def test_oracle_past_budget_exits_3_fast(argv):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohomreps.cli", "cohomology", *argv],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert time.monotonic() - t0 < 10
+    assert proc.returncode == 3
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "DomainError"
+    assert "--closed-only" in error["message"]
 
 
 def test_usage_error_exits_2(capsys):
