@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import __version__, checks
 from .autdegrees import CONDITIONAL_NOTE, N, degree_support, li_coverage, relth_coverage
@@ -174,8 +175,53 @@ def _cmd_enumerate(args) -> int:
         {"family": args.family, "p": args.p, "q": args.q},
         {"count": len(rows), "reps": rows},
     )
-    _emit(payload, args.format)
+    if args.format == "json":
+        print(_enumerate_json(payload))
+    else:
+        _emit(payload, args.format)
     return 0
+
+
+def _json_list(xs, pad: str) -> str:
+    """A list of ints or of such lists as json.dumps(indent=2) lays it out
+    at indent `pad`."""
+    if not xs:
+        return "[]"
+    inner = pad + "  "
+    items = [inner + (_json_list(x, inner) if type(x) is list else str(x)) for x in xs]
+    return "[\n" + ",\n".join(items) + f"\n{pad}]"
+
+
+def _json_rep_row(row) -> str:
+    """One enumerate row as json.dumps(sort_keys=True, indent=2) writes it
+    inside the reps list."""
+    pad = "      "
+    flag = "null" if row["flag"] is None else row["flag"]
+    return (
+        "    {\n"
+        f'{pad}"R": {row["R"]},\n'
+        f'{pad}"flag": {flag},\n'
+        f'{pad}"lambda": {_json_list(row["lambda"], pad)},\n'
+        f'{pad}"mu": {_json_list(row["mu"], pad)},\n'
+        f'{pad}"rectangles": {_json_list(row["rectangles"], pad)},\n'
+        f'{pad}"text": {encode_basestring_ascii(row["text"])}\n'
+        "    }"
+    )
+
+
+def _enumerate_json(payload) -> str:
+    """The exact text of json.dumps(payload, sort_keys=True, indent=2).
+
+    With an indent, json falls back to its pure-Python encoder, which is
+    most of the time of a large enumerate. Only the header goes through
+    json here; each row is written in the fixed layout of _json_rep_row.
+    """
+    head, tail = json.dumps({**payload, "reps": []}, sort_keys=True, indent=2).split(
+        '"reps": []'
+    )
+    rows = ",\n".join([_json_rep_row(row) for row in payload["reps"]])
+    reps = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{head}"reps": {reps}{tail}'
 
 
 def _cmd_cohomology(args) -> int:

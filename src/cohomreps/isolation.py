@@ -32,7 +32,7 @@ class IsolationVerdict:
 
 @lru_cache(maxsize=None)  # one entry per group, like the unbounded _enumerate_cached
 def _index(kind: str, p: int, q: int):
-    """Map each skew cell set to the parameters of the group carrying it.
+    """Map each skew cell bitmask to the parameters of the group carrying it.
 
     Entries are (label, last_rectangle, admits_flag_zero): the label is the
     witness string, and the last rectangle is None for the empty skew shape.
@@ -45,22 +45,27 @@ def _index(kind: str, p: int, q: int):
         body = name(rep.lam) if kind == "O" else f"{name(rep.lam)}|{name(rep.mu)}"
         rects = rep.skew.rectangles
         last = rects[-1] if rects else None
-        index.setdefault(rep.skew.boxes, []).append(
+        index.setdefault(rep.skew.cells, []).append(
             (f"A[{body}]", last, admits_flag_zero(rep.lam, rep.mu, p))
         )
     return {k: tuple(v) for k, v in index.items()}
 
 
-def _variants(boxes, p, q, moves, grow_only):
-    """Cell sets of the p x q box reached from `boxes` by changing `moves`
-    cells: k removed and moves - k added, or only added when growing."""
-    grid = ((r, c) for r in range(1, p + 1) for c in range(1, q + 1))
-    outside = [cell for cell in grid if cell not in boxes]
-    for k in range(1 if grow_only else moves + 1):
-        for removed in combinations(boxes, k):
-            shrunk = boxes.difference(removed)
-            for added in combinations(outside, moves - k):
-                yield shrunk.union(added)
+# Unbounded like _index: one entry per box and move count, a tuple of pq or
+# C(pq, 2) small ints (300 for the two-cell flips of a 5 x 5 box).
+@lru_cache(maxsize=None)
+def _flips(p: int, q: int, moves: int) -> tuple:
+    """Bitmasks of every set of `moves` cells of the p x q box."""
+    return tuple(sum(1 << i for i in cells) for cells in combinations(range(p * q), moves))
+
+
+def _neighbors(cells: int, p: int, q: int, moves: int, grow_only: bool) -> list:
+    """Cell bitmasks of the p x q box that differ from `cells` in exactly
+    `moves` cells, or that add `moves` cells to it when growing."""
+    flips = _flips(p, q, moves)
+    if grow_only:
+        return [cells | f for f in flips if not cells & f]
+    return [cells ^ f for f in flips]
 
 
 def _search(rep: CohRep, grow_only=False, block=None, extra=()) -> IsolationVerdict:
@@ -72,14 +77,18 @@ def _search(rep: CohRep, grow_only=False, block=None, extra=()) -> IsolationVerd
     kind, p, q = rep.family.kind, rep.family.p, rep.family.q
     orth = kind == "O"
     index = _index("O" if orth else "U", p, q)
-    witnesses = set(extra)
-    for variant in _variants(rep.skew.boxes, p, q, 2 if orth else 1, grow_only):
-        for label, last, admits in index.get(variant, ()):
-            if block is None:
-                witnesses.add(label)
-            elif admits and last == block:
-                witnesses.add(label + "_0")
-    wits = tuple(sorted(witnesses))
+    neighbors = _neighbors(rep.skew.cells, p, q, 2 if orth else 1, grow_only)
+    found = [entries for entries in map(index.get, neighbors) if entries]
+    if block is None:
+        witnesses = {label for entries in found for label, _, _ in entries}
+    else:
+        witnesses = {
+            label + "_0"
+            for entries in found
+            for label, last, admits in entries
+            if admits and last == block
+        }
+    wits = tuple(sorted(witnesses.union(extra)))
     return IsolationVerdict(not wits, wits, "search")
 
 

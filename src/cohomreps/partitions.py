@@ -115,16 +115,27 @@ class SkewDecomposition:
     """Rectangles of a compatible skew shape, top-right block first.
 
     anchors[i] is the 1-based (row, col) of rectangle i's top-left cell.
-    boxes is the absolute cell set of the whole skew shape.
+    cells is the absolute cell set of the whole skew shape as a bitmask of
+    the p x q box: bit (r - 1) * q + (c - 1) stands for cell (r, c).
     """
 
     rectangles: tuple
     anchors: tuple
-    boxes: BoxSet
+    cells: int
+
+    @property
+    def boxes(self) -> BoxSet:
+        """The cell set as a frozenset of (row, col), read off the rectangles."""
+        return frozenset(
+            (r, c)
+            for (a, b), (r0, c0) in zip(self.rectangles, self.anchors)
+            for r in range(r0, r0 + a)
+            for c in range(c0, c0 + b)
+        )
 
     @property
     def box_count(self) -> int:
-        return len(self.boxes)
+        return self.cells.bit_count()
 
 
 def _skew_runs(lam_pad: tuple, mu_pad: tuple) -> Optional[list]:
@@ -158,14 +169,17 @@ def _skew_runs(lam_pad: tuple, mu_pad: tuple) -> Optional[list]:
     return runs
 
 
-def _decomposition(runs) -> SkewDecomposition:
-    """The SkewDecomposition of a sequence of row runs."""
+def _decomposition(runs, q: int) -> SkewDecomposition:
+    """The SkewDecomposition of a sequence of row runs in a box of width q."""
+    cells = 0
+    for a, b, lo, hi in runs:
+        row = (1 << hi) - (1 << lo)  # columns lo + 1 .. hi
+        for r in range(a - 1, b):
+            cells |= row << r * q
     return SkewDecomposition(
         rectangles=tuple(Rectangle(b - a + 1, hi - lo) for a, b, lo, hi in runs),
         anchors=tuple((a, lo + 1) for a, b, lo, hi in runs),
-        boxes=frozenset(
-            (r, c) for a, b, lo, hi in runs for r in range(a, b + 1) for c in range(lo + 1, hi + 1)
-        ),
+        cells=cells,
     )
 
 
@@ -189,7 +203,7 @@ def rectangle_decomposition(
             f"skew of ({lam}, {mu}) in {p}x{q}: rows {r - 1} and {r} "
             "overlap in more than a corner"
         )
-    return _decomposition(runs)
+    return _decomposition(runs, q)
 
 
 def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
@@ -209,7 +223,7 @@ def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
         # edges = (q, lam_1, ..., lam_p); mu and runs cover the rows so far
         i = len(mu)
         if i == p:
-            yield lam, mu[: p - mu.count(0)], _decomposition(runs)
+            yield lam, mu[: p - mu.count(0)], _decomposition(runs, q)
             return
         lo = edges[i + 1]
         yield from rows(lam, edges, mu + (lo,), runs)
@@ -298,7 +312,7 @@ def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
         runs = _skew_runs(lam_pad, comp_pad)
         if runs is not None:
             comp = comp_pad[: p - comp_pad.count(0)]
-            yield lam, comp, _palindrome(lam, _decomposition(runs), p, q)
+            yield lam, comp, _palindrome(lam, _decomposition(runs, q), p, q)
 
 
 def is_orthogonal(lam: Partition, p: int, q: int) -> bool:

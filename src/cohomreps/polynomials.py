@@ -98,7 +98,10 @@ ZERO = IntPoly()
 ONE = IntPoly((1,))
 
 
-@lru_cache(maxsize=None)
+# The bound holds the whole triangle n <= 43 (990 entries), so the Pascal
+# recursion below finds every smaller entry it needs at any box size the
+# package reaches; blocks with p+q <= 10 use at most 66 entries.
+@lru_cache(maxsize=1024)
 def gaussian_binomial(n: int, k: int) -> IntPoly:
     """The q-binomial coefficient as a polynomial in t.
 

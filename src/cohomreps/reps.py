@@ -269,23 +269,31 @@ def _real_center_poincare(p0: int, q0: int) -> IntPoly:
     return invariant_poincare(group, chi)
 
 
-def poincare_closed(rep: CohRep) -> IntPoly:
-    """Poincare polynomial of the cohomology, as a product over blocks.
-
-    Hermitian blocks contribute a Gaussian binomial in t^2, quaternionic
-    blocks one in t^4, and the real central block of the orthogonal family
-    is handled by the exact invariants engine (cached per block size). The
-    result carries the overall t^R shift, so degrees are absolute.
-    """
+# One short polynomial per block tuple: 563 for p+q <= 9, 1 099 for p+q <= 10.
+# Past the bound an evicted product is rebuilt from the cached binomials.
+@lru_cache(maxsize=4096)
+def _closed_poincare(tags) -> IntPoly:
     poly = ONE
-    for style, a, b in block_tags(rep):
+    for style, a, b in tags:
         if style == "her":
             poly = poly * gaussian_binomial(a + b, a).inflate(2)
         elif style == "quat":
             poly = poly * gaussian_binomial(a + b, a).inflate(4)
         else:
             poly = poly * _real_center_poincare(a, b)
-    return poly.shift(rep.R)
+    return poly
+
+
+def poincare_closed(rep: CohRep) -> IntPoly:
+    """Poincare polynomial of the cohomology, as a product over blocks.
+
+    Hermitian blocks contribute a Gaussian binomial in t^2, quaternionic
+    blocks one in t^4, and the real central block of the orthogonal family
+    is handled by the exact invariants engine (cached per block size). The
+    product is cached per tuple of blocks, apart from the oracle's cache,
+    and shifted by t^R, so degrees are absolute.
+    """
+    return _closed_poincare(block_tags(rep)).shift(rep.R)
 
 
 @lru_cache(maxsize=None)  # one short polynomial per block multiset; 398 for p+q <= 9

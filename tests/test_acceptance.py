@@ -110,7 +110,7 @@ VANISHING_EXCEPTIONS = {("O", 1, 1), ("O", 2, 2), ("Sp", 1, 1)}
 
 def test_criterion_5_minimal_positive_degree():
     for kind in ("U", "O", "Sp"):
-        for p, q in signatures(9):
+        for p, q in signatures(10):
             if (kind, p, q) in VANISHING_EXCEPTIONS:
                 continue
             fam = Family(kind, p, q)
@@ -174,7 +174,7 @@ def test_criterion_6_empty_skew_never_isolated():
 
 def test_criterion_7_poincare_duality():
     for kind in ("U", "O", "Sp"):
-        for p, q in signatures(9):
+        for p, q in signatures(10):
             for rep in enumerate_reps(Family(kind, p, q)):
                 poly = poincare_closed(rep)
                 assert poly.coeffs[: rep.R] == (0,) * rep.R

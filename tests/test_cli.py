@@ -35,6 +35,15 @@ def test_enumerate_u11(capsys):
     assert texts == ["U(1,1) A[[]|[]]", "U(1,1) A[[]|[1]]", "U(1,1) A[[1]|[1]]"]
 
 
+@pytest.mark.parametrize("kind", ["U", "O", "Sp"])
+def test_enumerate_json_is_json_dumps(capsys, kind):
+    # enumerate writes its rows itself; the bytes must be those of json.dumps
+    for p, q in checks.signatures(8):
+        code, out = run(capsys, "enumerate", kind, str(p), str(q))
+        assert code == 0
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
 def test_enumerate_tsv(capsys):
     code, out = run(capsys, "enumerate", "O", "2", "2", "--format", "tsv")
     assert code == 0

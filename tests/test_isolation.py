@@ -1,6 +1,9 @@
 """Isolation verdicts: searches, the closed-form corner test, and the
 degree-zero variant."""
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from cohomreps import (
@@ -19,6 +22,7 @@ from cohomreps import (
     trivial_rep,
 )
 from cohomreps.checks import run, signatures
+from cohomreps.isolation import _neighbors
 
 
 class TestUnitarySearch:
@@ -195,6 +199,33 @@ class TestDegreeZero:
 def test_witness_tuples(judge, family, lam, mu, flag, witnesses):
     verdict = judge(make_rep(family, lam, mu, flag=flag))
     assert verdict == IsolationVerdict(not witnesses, witnesses, "search")
+
+
+def reference_variants(boxes, p, q, moves, grow_only):
+    """Cell sets of the p x q box reached from `boxes` by changing `moves`
+    cells: k removed and moves - k added, or only added when growing.
+    The frozenset form of the search, the reference for _neighbors."""
+    grid = ((r, c) for r in range(1, p + 1) for c in range(1, q + 1))
+    outside = [cell for cell in grid if cell not in boxes]
+    for k in range(1 if grow_only else moves + 1):
+        for removed in combinations(boxes, k):
+            shrunk = boxes.difference(removed)
+            for added in combinations(outside, moves - k):
+                yield shrunk.union(added)
+
+
+@pytest.mark.parametrize("grow_only", [False, True])
+@pytest.mark.parametrize("moves", [1, 2])
+def test_flip_neighbors_match_frozenset_variants(moves, grow_only):
+    for kind in ("U", "O", "Sp"):
+        for p, q in signatures(7):
+            for rep in enumerate_reps(Family(kind, p, q)):
+                flipped = Counter(_neighbors(rep.skew.cells, p, q, moves, grow_only))
+                expected = Counter(
+                    sum(1 << (r - 1) * q + c - 1 for r, c in variant)
+                    for variant in reference_variants(rep.skew.boxes, p, q, moves, grow_only)
+                )
+                assert flipped == expected, f"{rep!r}"
 
 
 class TestInequalities:

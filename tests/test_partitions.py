@@ -27,6 +27,7 @@ from cohomreps import (
     rectangle_decomposition,
     skew_box_set,
 )
+from cohomreps.checks import signatures
 from cohomreps.partitions import fits_in_box, length, weight
 
 
@@ -175,6 +176,21 @@ def test_orthogonal_partitions_filter_the_box(p, q):
         for lam in enumerate_partitions_in_box(p, q)
         if is_orthogonal(lam, p, q)
     ]
+
+
+def decode_cells(cells, p, q):
+    """The (row, col) set of a cell bitmask of the p x q box."""
+    return frozenset((i // q + 1, i % q + 1) for i in range(p * q) if cells >> i & 1)
+
+
+def test_cells_bitmask_decodes_to_skew_box_set():
+    for p, q in signatures(8):
+        shapes = list(compatible_pairs(p, q))
+        shapes += [(lam, mu, orth.skew) for lam, mu, orth in orthogonal_partitions(p, q)]
+        for lam, mu, skew in shapes:
+            assert skew.cells >> p * q == 0
+            assert decode_cells(skew.cells, p, q) == skew_box_set(lam, mu, p, q), (lam, mu)
+            assert skew.boxes == skew_box_set(lam, mu, p, q)
 
 
 def test_is_compatible_never_raises():
