@@ -13,8 +13,7 @@ or a question about degrees, Q2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, NotADivisor, SignatureMismatch
 from .reps import CohRep
@@ -65,8 +64,7 @@ def lemC_bruteforce(a: int, b: int, p: int):
     return max(values), len(parities) == 1
 
 
-@dataclass(frozen=True)
-class DegreeSet:
+class DegreeSet(NamedTuple):
     """Degrees reachable below and above the middle dimension pq."""
 
     degrees: tuple
@@ -103,8 +101,7 @@ def degree_support(n: int, p: int, q: int) -> DegreeSet:
     return DegreeSet(tuple(sorted(support)), center)
 
 
-@dataclass(frozen=True)
-class CoverageTag:
+class CoverageTag(NamedTuple):
     tag: str  # "Q1", "Q2" or "none"
     source: Optional[str]  # "LiGen", "ttt", "relth" or None
 

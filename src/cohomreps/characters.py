@@ -32,7 +32,7 @@ exterior series is never built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import factorial
 
@@ -98,6 +98,11 @@ class Character:
 # central block of O(6,7) (3.6e7) fits; U(4,5) (1.2e8), Sp(3,4) flag 0
 # (1.4e9) and U(5,5) (5.0e9) do not.
 JOIN_WORK_BUDGET = 40_000_000
+
+# Upper bound on |W| of one compact factor, the number of terms of its half
+# denominator, checked before the product is multiplied out: U(8) (40 320
+# terms) is expanded; U(9) (362 880), Sp(7) and SO(14) are not.
+HALF_DENOMINATOR_CAP = 100_000
 
 
 def _check_factor(factor: Factor) -> Factor:
@@ -189,8 +194,11 @@ def _half_denominator(factor: Factor):
 
     The positive roots are the ones whose first nonzero coordinate is
     positive. By the Weyl denominator identity the result has exactly |W|
-    terms, each +1 or -1; the tests hold it to that.
+    terms, each +1 or -1; the tests hold it to that. DomainError is raised
+    before a product of more than HALF_DENOMINATOR_CAP terms is expanded.
     """
+    if factor_weyl_order(factor) > HALF_DENOMINATOR_CAP:
+        raise _over_budget(f"a half denominator of more than {HALF_DENOMINATOR_CAP} terms")
     roots = factor_roots(factor)
     terms = {(0,) * factor_rank(factor): 1}
     for alpha in [a for a in roots if a > (0,) * len(a)]:
@@ -218,11 +226,12 @@ def _dominant(factor: Factor, w: Weight) -> Weight:
     return tuple(out)
 
 
-def _over_budget() -> DomainError:
+def _over_budget(need: str = "") -> DomainError:
+    need = need or f"more than {JOIN_WORK_BUDGET} join steps"
     return DomainError(
-        f"the invariants of this module need more than {JOIN_WORK_BUDGET} "
-        "join steps; cohomology --closed-only skips them, except on "
-        "the real central block of an orthogonal rep"
+        f"the invariants of this module need {need}; cohomology "
+        "--closed-only skips them, except on the real central block of "
+        "an orthogonal rep"
     )
 
 
@@ -264,15 +273,15 @@ def _half_series(weights, shift: int, limit: int):
     return series
 
 
-@dataclass(frozen=True)
-class CompactGroupSpec:
+class CompactGroupSpec(namedtuple("CompactGroupSpec", "factors")):
     """An ordered product of compact factors acting through one big torus."""
 
-    factors: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for f in self.factors:
+    def __new__(cls, factors: tuple):
+        for f in factors:
             _check_factor(f)
+        return super().__new__(cls, factors)
 
     @property
     def rank(self) -> int:

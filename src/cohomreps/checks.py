@@ -2,25 +2,12 @@
 acceptance tests and `cohomreps verify`.
 
 Each check is written once, as a generator of (case label, agrees) pairs
-over every case up to a scale; `run` condenses one into a result.
+over every case up to a scale; `run` condenses one into a result. A sweep
+imports the modules it compares when it starts, so loading the registry
+loads none of them.
 """
 
 from __future__ import annotations
-
-from .autdegrees import N, lemC_bruteforce
-from .characters import invariant_poincare
-from .isolation import isolated_O, isolated_U_explicit, isolated_U_search, t1intro_inequalities
-from .polynomials import gaussian_binomial
-from .reps import (
-    FAMILIES,
-    Family,
-    enumerate_reps,
-    group_and_module,
-    make_rep,
-    poincare_closed,
-    poincare_oracle,
-    text_form,
-)
 
 
 def signatures(total: int):
@@ -32,6 +19,8 @@ def signatures(total: int):
 
 def sweep_lemC(max_n: int):
     """N(b, n, p) against lemC_bruteforce, which must also find uniform parity."""
+    from .autdegrees import N, lemC_bruteforce
+
     for n in range(1, max_n + 1):
         for b in range(1, n + 1):
             if n % b:
@@ -43,6 +32,10 @@ def sweep_lemC(max_n: int):
 
 def sweep_gaussian(max_rank: int):
     """The oracle on one hermitian or quaternionic block against a Gaussian binomial."""
+    from .characters import invariant_poincare
+    from .polynomials import gaussian_binomial
+    from .reps import group_and_module
+
     for a, b in signatures(max_rank):
         expected = gaussian_binomial(a + b, a)
         for style, step in (("her", 2), ("quat", 4)):
@@ -52,6 +45,8 @@ def sweep_gaussian(max_rank: int):
 
 def sweep_poincare(max_pq: int):
     """The closed Poincare product against the oracle, on every U, O and Sp rep."""
+    from .reps import FAMILIES, Family, enumerate_reps, poincare_closed, poincare_oracle, text_form
+
     for kind in FAMILIES:
         for p, q in signatures(max_pq):
             for rep in enumerate_reps(Family(kind, p, q)):
@@ -60,6 +55,9 @@ def sweep_poincare(max_pq: int):
 
 def sweep_t1intro(max_pq: int):
     """Orthogonal isolation of A((r^p)) by search against the inequalities."""
+    from .isolation import isolated_O, t1intro_inequalities
+    from .reps import Family, make_rep
+
     for p, q in signatures(max_pq):
         # The identity component of O(1,1) is abelian with one parameter, so
         # the search is vacuous there; the acceptance tests xfail it.
@@ -72,6 +70,9 @@ def sweep_t1intro(max_pq: int):
 
 def sweep_isolation(max_pq: int):
     """The explicit corner criterion against the neighbor search on U(p,q)."""
+    from .isolation import isolated_U_explicit, isolated_U_search
+    from .reps import Family, enumerate_reps, text_form
+
     for p, q in signatures(max_pq):
         for rep in enumerate_reps(Family("U", p, q)):
             agrees = isolated_U_explicit(rep).isolated == isolated_U_search(rep).isolated

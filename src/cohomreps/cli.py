@@ -4,6 +4,9 @@ Every subcommand prints a single JSON document (sorted keys, stable layout)
 so runs are byte-reproducible; a TSV rendering is available where tabular
 output makes sense. Bad usage exits with 2, domain errors with 3 and a
 machine-readable error object, verification mismatches with 1.
+
+Each subcommand imports the modules it needs when it runs, so a process
+loads only what its subcommand uses.
 """
 
 from __future__ import annotations
@@ -14,11 +17,8 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from . import __version__, checks
-from .autdegrees import CONDITIONAL_NOTE, N, degree_support, li_coverage, relth_coverage
+from . import __version__
 from .errors import CohomrepsError
-from .glrestrict import parse_glrep, prediction_modes_disagree, restrict_prediction, t_matrix
-from .isolation import isolated_O, isolated_Sp, isolated_U_explicit, isolated_U_search, isolated_d0
 from .partitions import parse_partition
 from .reps import (
     Family,
@@ -32,6 +32,15 @@ from .reps import (
     text_form,
     trivial_rep,
 )
+
+
+class _VerifySubjects:
+    """The choices of `verify`, read from checks.CHECKS when argparse looks."""
+
+    def __iter__(self):
+        from . import checks
+
+        return iter([*checks.CHECKS, "all"])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,7 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_format(p_res)
 
     p_ver = sub.add_parser("verify", help="cross-check independent implementations")
-    p_ver.add_argument("subject", choices=[*checks.CHECKS, "all"])
+    # Set after add_argument, which formats the choices of a new argument
+    # and so would import checks whatever the subcommand.
+    p_ver.add_argument("subject").choices = _VerifySubjects()
     p_ver.add_argument("--max-n", type=int, default=12)
     p_ver.add_argument("--max-rank", type=int, default=4)
     p_ver.add_argument("--max-pq", type=int, default=9)
@@ -250,6 +261,9 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_isolate(args) -> int:
+    from .isolation import isolated_d0, isolated_O, isolated_Sp
+    from .isolation import isolated_U_explicit, isolated_U_search
+
     rep = _rep_from_args(args)
     kind = rep.family.kind
     if kind == "U":
@@ -273,6 +287,8 @@ def _cmd_isolate(args) -> int:
 
 
 def _cmd_degrees(args) -> int:
+    from .autdegrees import CONDITIONAL_NOTE, N, degree_support
+
     ds = degree_support(args.n, args.p, args.q)
     divisors = []
     for b in range(2, args.n + 1):
@@ -296,6 +312,8 @@ def _cmd_degrees(args) -> int:
 
 
 def _cmd_coverage(args) -> int:
+    from .autdegrees import li_coverage, relth_coverage
+
     rep = _rep_from_args(args)
     li = li_coverage(rep)
     rel = relth_coverage(rep)
@@ -311,6 +329,8 @@ def _cmd_coverage(args) -> int:
 
 
 def _cmd_restrict(args) -> int:
+    from .glrestrict import parse_glrep, prediction_modes_disagree, restrict_prediction, t_matrix
+
     glrep = parse_glrep(args.rep)
     T = t_matrix(glrep)
     pred = restrict_prediction(T, args.m, args.clip_mode)
@@ -327,6 +347,8 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import checks
+
     scales = {
         "lemC": args.max_n,
         "gaussian": args.max_rank,

@@ -19,30 +19,30 @@ All arithmetic uses Fraction, so every comparison downstream is exact.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import BadRank, DomainError, WrongFamily
 
 _BLOCK_RE = re.compile(r"^u\((\d+),(\d+)\)(?:\[(\d+)/(\d+)\])?$")
 
 
-@dataclass(frozen=True)
-class GLBlock:
-    m: int
-    j: int
-    alpha: Optional[Fraction] = None
+class GLBlock(namedtuple("GLBlock", "m j alpha")):
+    """u(m, j), twisted by alpha when alpha is not None."""
 
-    def __post_init__(self):
-        if self.m not in (1, 2):
-            raise DomainError(f"block multiplicity must be 1 or 2, got {self.m}")
-        if self.j < 1:
-            raise DomainError(f"block length must be positive, got {self.j}")
-        if self.alpha is not None and not 0 < self.alpha < Fraction(1, 2):
+    __slots__ = ()
+
+    def __new__(cls, m: int, j: int, alpha: Optional[Fraction] = None):
+        if m not in (1, 2):
+            raise DomainError(f"block multiplicity must be 1 or 2, got {m}")
+        if j < 1:
+            raise DomainError(f"block length must be positive, got {j}")
+        if alpha is not None and not 0 < alpha < Fraction(1, 2):
             raise DomainError(
-                f"twist must lie strictly between 0 and 1/2, got {self.alpha}"
+                f"twist must lie strictly between 0 and 1/2, got {alpha}"
             )
+        return super().__new__(cls, m, j, alpha)
 
     @property
     def size(self) -> int:
@@ -60,8 +60,7 @@ class GLBlock:
         return out
 
 
-@dataclass(frozen=True)
-class GLRep:
+class GLRep(NamedTuple):
     blocks: tuple
 
     @property
@@ -184,8 +183,7 @@ def rel_threshold_met(rho_L0, rho_restriction, eps) -> bool:
     return 2 * rho_L0 - rho_restriction > eps
 
 
-@dataclass(frozen=True)
-class RepkaResult:
+class RepkaResult(NamedTuple):
     kind: str  # "tempered" or "complementary"
     parameter: Optional[Fraction]
 

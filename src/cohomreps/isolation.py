@@ -14,17 +14,16 @@ the skew shape; it is implemented separately so the two can be compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import DomainError, WrongFamily
-from .partitions import format_partition
+from .partitions import brackets
 from .reps import CohRep, Family, admits_flag_zero, enumerate_reps
 
 
-@dataclass(frozen=True)
-class IsolationVerdict:
+class IsolationVerdict(NamedTuple):
     isolated: bool
     witnesses: tuple
     criterion: str
@@ -39,10 +38,10 @@ def _index(kind: str, p: int, q: int):
     The quaternionic family searches the unitary index, which holds the
     same pairs.
     """
-    name = lru_cache(maxsize=None)(format_partition)  # once per partition
     index = {}
     for rep in enumerate_reps(Family(kind, p, q)):
-        body = name(rep.lam) if kind == "O" else f"{name(rep.lam)}|{name(rep.mu)}"
+        lam = brackets(rep.lam)
+        body = lam if kind == "O" else f"{lam}|{brackets(rep.mu)}"
         rects = rep.skew.rectangles
         last = rects[-1] if rects else None
         index.setdefault(rep.skew.cells, []).append(

@@ -12,7 +12,6 @@ package.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -110,8 +109,7 @@ class Rectangle(NamedTuple):
     cols: int
 
 
-@dataclass(frozen=True)
-class SkewDecomposition:
+class SkewDecomposition(NamedTuple):
     """Rectangles of a compatible skew shape, top-right block first.
 
     anchors[i] is the 1-based (row, col) of rectangle i's top-left cell.
@@ -245,8 +243,7 @@ def is_compatible(lam: Partition, mu: Partition, p: int, q: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class OrthogonalDecomposition:
+class OrthogonalDecomposition(NamedTuple):
     """Palindrome data of the skew shape of (lam, complement(lam)).
 
     pairs lists the mirrored rectangles from the outside in (each shown
@@ -340,7 +337,13 @@ def enumerate_partitions_in_box(p: int, q: int) -> Iterator[Partition]:
 
 def format_partition(lam: Partition) -> str:
     """Canonical bracket form, e.g. [3,1]; the empty partition prints []."""
-    return "[" + ",".join(str(x) for x in canonical(lam)) + "]"
+    return brackets(canonical(lam))
+
+
+def brackets(lam: Partition) -> str:
+    """The bracket form of format_partition, for a partition already in
+    canonical form; nothing is checked."""
+    return "[" + ",".join(map(str, lam)) + "]"
 
 
 def parse_partition(text: str) -> Partition:

@@ -37,17 +37,21 @@ class IntPoly:
         a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
-        return IntPoly(tuple(x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)))
+        c = [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+        while c and not c[-1]:
+            c.pop()
+        return _trusted(tuple(c))
 
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if not self._c or not other._c:
-            return IntPoly()
+            return ZERO
         out = [0] * (len(self._c) + len(other._c) - 1)
         for i, x in enumerate(self._c):
             if x:
                 for j, y in enumerate(other._c):
                     out[i + j] += x * y
-        return IntPoly(out)
+        # the top coefficient is the product of two nonzero ones
+        return _trusted(tuple(out))
 
     def shift(self, k: int) -> "IntPoly":
         """Multiply by t**k."""
@@ -55,16 +59,16 @@ class IntPoly:
             raise ValueError("negative shift")
         if not self._c:
             return self
-        return IntPoly((0,) * k + self._c)
+        return _trusted((0,) * k + self._c)
 
     def inflate(self, k: int) -> "IntPoly":
         """Substitute t -> t**k."""
         if k < 1:
             raise ValueError("inflation factor must be positive")
-        out = [0] * (len(self._c) * k)
+        out = [0] * ((len(self._c) - 1) * k + 1)  # empty for ZERO
         for i, x in enumerate(self._c):
             out[i * k] = x
-        return IntPoly(out)
+        return _trusted(tuple(out))
 
     def __call__(self, x: int) -> int:
         val = 0
@@ -92,6 +96,14 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({list(self._c)!r})"
+
+
+def _trusted(c: tuple) -> IntPoly:
+    """The IntPoly on c, a tuple of ints without trailing zeros, unchecked:
+    the arithmetic above builds its results from such tuples."""
+    poly = object.__new__(IntPoly)
+    poly._c = c
+    return poly
 
 
 ZERO = IntPoly()

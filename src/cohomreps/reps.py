@@ -17,9 +17,9 @@ and Weyl integration that never looks at the factorization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .characters import (
     Character,
@@ -32,10 +32,10 @@ from .errors import DomainError, InvariantViolation, NotOrthogonal, WrongFamily
 from .partitions import (
     OrthogonalDecomposition,
     SkewDecomposition,
+    brackets,
     canonical,
     compatible_pairs,
     complement,
-    format_partition,
     orthogonal_decomposition,
     orthogonal_partitions,
     rectangle_decomposition,
@@ -45,19 +45,19 @@ from .polynomials import ONE, IntPoly, gaussian_binomial
 FAMILIES = ("U", "O", "Sp")
 
 
-@dataclass(frozen=True, order=True)
-class Family:
-    kind: str
-    p: int
-    q: int
+class Family(namedtuple("Family", "kind p q")):
+    """A group U(p,q), O(p,q) or Sp(p,q); ordered as the tuple (kind, p, q)."""
 
-    def __post_init__(self):
-        if self.kind not in FAMILIES:
-            raise WrongFamily(f"unknown family {self.kind!r}")
-        if type(self.p) is not int or type(self.q) is not int:
-            raise DomainError(f"signature ({self.p!r},{self.q!r}) must be integers")
-        if self.p < 1 or self.q < 1:
-            raise DomainError(f"signature ({self.p},{self.q}) must be positive")
+    __slots__ = ()
+
+    def __new__(cls, kind: str, p: int, q: int):
+        if kind not in FAMILIES:
+            raise WrongFamily(f"unknown family {kind!r}")
+        if type(p) is not int or type(q) is not int:
+            raise DomainError(f"signature ({p!r},{q!r}) must be integers")
+        if p < 1 or q < 1:
+            raise DomainError(f"signature ({p},{q}) must be positive")
+        return super().__new__(cls, kind, p, q)
 
 
 def r_G(family: Family) -> int:
@@ -66,8 +66,7 @@ def r_G(family: Family) -> int:
     return 2 * base if family.kind == "Sp" else base
 
 
-@dataclass(frozen=True)
-class CohRep:
+class CohRep(NamedTuple):
     family: Family
     lam: tuple
     mu: tuple
@@ -321,11 +320,12 @@ def full_cohomology(rep: CohRep):
 
 
 def text_form(rep: CohRep) -> str:
-    fam = rep.family
-    head = f"{fam.kind}({fam.p},{fam.q})"
-    if fam.kind == "O":
-        return f"{head} A[{format_partition(rep.lam)}]"
-    body = f"A[{format_partition(rep.lam)}|{format_partition(rep.mu)}]"
-    if fam.kind == "Sp":
+    # lam and mu were validated when the rep was built
+    kind, p, q = rep.family
+    head = f"{kind}({p},{q})"
+    if kind == "O":
+        return f"{head} A[{brackets(rep.lam)}]"
+    body = f"A[{brackets(rep.lam)}|{brackets(rep.mu)}]"
+    if kind == "Sp":
         return f"{head} {body}_{rep.flag}"
     return f"{head} {body}"

@@ -366,6 +366,19 @@ def test_half_denominator_is_weyl_denominator(factor):
     assert product.terms == reference_denominator(factor)
 
 
+@pytest.mark.parametrize("factor", [("U", 9), ("Sp", 7), ("SO", 14), ("U", 20)], ids=factor_id)
+def test_half_denominator_past_the_cap_is_refused(factor):
+    assert factor_weyl_order(factor) > characters.HALF_DENOMINATOR_CAP
+    with pytest.raises(DomainError, match="--closed-only"):
+        _half_denominator(factor)
+
+
+def test_bad_group_factor():
+    with pytest.raises(ValueError, match=r"^bad group factor \('X', 1\)$"):
+        CompactGroupSpec((("X", 1),))
+    assert repr(CompactGroupSpec((("U", 2),))) == "CompactGroupSpec(factors=(('U', 2),))"
+
+
 def test_weyl_orders():
     assert factor_weyl_order(("U", 3)) == 6
     assert factor_weyl_order(("SO", 2)) == 1

@@ -187,9 +187,13 @@ def test_closed_stdout_is_not_a_traceback():
     assert stderr == b""
 
 
-# U(7,7) is refused before its million targets are multiplied out, the
-# other two while their first half series grows
-@pytest.mark.parametrize("argv", [("Sp", "3", "4", "--flag", "0"), ("U", "5", "5"), ("U", "7", "7")])
+# U(7,7) is refused before its million targets are multiplied out, U(9,9)
+# and U(1,10) before the half denominator of U(9) or U(10) is, the other two
+# while their first half series grows
+@pytest.mark.parametrize(
+    "argv",
+    [("Sp", "3", "4", "--flag", "0"), ("U", "5", "5"), ("U", "7", "7"), ("U", "9", "9"), ("U", "1", "10")],
+)
 def test_oracle_past_budget_exits_3_fast(argv):
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

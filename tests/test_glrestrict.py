@@ -44,11 +44,11 @@ def blocks_strategy():
 
 class TestBlocks:
     def test_block_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^block multiplicity must be 1 or 2, got 3$"):
             GLBlock(3, 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^block length must be positive, got 0$"):
             GLBlock(1, 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^twist must lie strictly between 0 and 1/2, got 1/2$"):
             GLBlock(1, 1, F(1, 2))
         with pytest.raises(DomainError):
             GLBlock(1, 1, F(0))

@@ -193,6 +193,14 @@ def test_cells_bitmask_decodes_to_skew_box_set():
             assert skew.boxes == skew_box_set(lam, mu, p, q)
 
 
+def test_decomposition_repr():
+    skew = rectangle_decomposition((1,), (2, 1), 2, 2)
+    assert repr(skew) == (
+        "SkewDecomposition(rectangles=(Rectangle(rows=1, cols=1), Rectangle(rows=1, cols=1)), "
+        "anchors=((1, 2), (2, 1)), cells=6)"
+    )
+
+
 def test_is_compatible_never_raises():
     assert is_compatible((), (2, 2), 2, 2)
     assert not is_compatible((1,), (2, 2), 2, 2)

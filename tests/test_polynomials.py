@@ -25,6 +25,9 @@ def test_add_and_mul():
     assert a + a == IntPoly([2, 2])
     assert a * a == IntPoly([1, 2, 1])
     assert (a * IntPoly([1, -1])) == IntPoly([1, 0, -1])
+    # results are trimmed like validated input
+    assert (a + IntPoly([0, -1])).coeffs == (1,)
+    assert (a + IntPoly([-1, -1])).coeffs == ()
 
 
 def test_shift_and_inflate():

@@ -37,10 +37,22 @@ class TestFamily:
     def test_unknown_kind(self):
         with pytest.raises(WrongFamily):
             Family("SL", 2, 2)
+        with pytest.raises(WrongFamily, match="^unknown family 'X'$"):
+            Family("X", 1, 1)
 
     def test_bad_signature(self):
         with pytest.raises(DomainError):
             Family("U", 0, 2)
+        with pytest.raises(DomainError, match=r"^signature \(0,1\) must be positive$"):
+            Family("U", 0, 1)
+
+    def test_value_semantics(self):
+        fam = Family("U", 2, 3)
+        assert repr(fam) == "Family(kind='U', p=2, q=3)"
+        assert fam == ("U", 2, 3) and hash(fam) == hash(("U", 2, 3))
+        assert sorted([Family("U", 3, 1), Family("O", 2, 2), Family("U", 2, 3)]) == [
+            Family("O", 2, 2), Family("U", 2, 3), Family("U", 3, 1)
+        ]
 
     @pytest.mark.parametrize("p, q", [(2.0, 2), (True, 2), (2, False), (2, "2"), (2, None)])
     def test_non_int_signature(self, p, q):
