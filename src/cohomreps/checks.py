@@ -43,6 +43,19 @@ def sweep_gaussian(max_rank: int):
             yield f"{style} {a}x{b}", invariant_poincare(group, chi) == expected.inflate(step)
 
 
+def sweep_grassmannian(max_pq: int):
+    """The oracle on one real block SO(a) x SO(b), a <= b, against the
+    Grassmannian product that the closed Poincare path uses."""
+    from .characters import invariant_poincare
+    from .polynomials import grassmannian_poincare
+    from .reps import group_and_module
+
+    for a, b in signatures(max_pq):
+        if a <= b:
+            group, chi = group_and_module((("real", a, b),))
+            yield f"real {a}x{b}", invariant_poincare(group, chi) == grassmannian_poincare(a, b)
+
+
 def sweep_poincare(max_pq: int):
     """The closed Poincare product against the oracle, on every U, O and Sp rep."""
     from .reps import FAMILIES, Family, enumerate_reps, poincare_closed, poincare_oracle, text_form
@@ -82,6 +95,7 @@ def sweep_isolation(max_pq: int):
 CHECKS = {
     "lemC": sweep_lemC,
     "gaussian": sweep_gaussian,
+    "grassmannian": sweep_grassmannian,
     "poincare": sweep_poincare,
     "t1intro": sweep_t1intro,
     "isolation": sweep_isolation,

@@ -23,6 +23,7 @@ from .partitions import parse_partition
 from .reps import (
     Family,
     block_tags,
+    bracket_names,
     enumerate_reps,
     full_cohomology,
     hodge_type,
@@ -153,14 +154,6 @@ def _emit(payload, fmt) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
         return
-    if "reps" in payload:
-        print("text\tlambda\tmu\tflag\tR")
-        for row in payload["reps"]:
-            flag = "-" if row["flag"] is None else str(row["flag"])
-            print(
-                f"{row['text']}\t{row['lambda']}\t{row['mu']}\t{flag}\t{row['R']}"
-            )
-        return
     for key in sorted(payload):
         if key in ("schema", "version", "input"):
             continue
@@ -168,71 +161,66 @@ def _emit(payload, fmt) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    fam = Family(args.family, args.p, args.q)
-    rows = []
-    for rep in enumerate_reps(fam):
-        rows.append(
-            {
-                "text": text_form(rep),
-                "lambda": list(rep.lam),
-                "mu": list(rep.mu),
-                "flag": rep.flag,
-                "R": rep.R,
-                "rectangles": [list(r) for r in rep.skew.rectangles],
-            }
-        )
-    payload = _payload(
-        "enumerate",
-        {"family": args.family, "p": args.p, "q": args.q},
-        {"count": len(rows), "reps": rows},
-    )
+    reps = enumerate_reps(Family(args.family, args.p, args.q))
     if args.format == "json":
-        print(_enumerate_json(payload))
-    else:
-        _emit(payload, args.format)
+        print(_enumerate_json(args, reps))
+        return 0
+    lines = ["text\tlambda\tmu\tflag\tR"]
+    for rep in reps:
+        flag = "-" if rep.flag is None else rep.flag
+        lines.append(f"{text_form(rep)}\t{list(rep.lam)}\t{list(rep.mu)}\t{flag}\t{rep.R}")
+    print("\n".join(lines))
     return 0
 
 
 def _json_list(xs, pad: str) -> str:
-    """A list of ints or of such lists as json.dumps(indent=2) lays it out
+    """A tuple of ints or of such tuples as json.dumps(indent=2) lays it out
     at indent `pad`."""
     if not xs:
         return "[]"
     inner = pad + "  "
-    items = [inner + (_json_list(x, inner) if type(x) is list else str(x)) for x in xs]
+    items = [inner + (_json_list(x, inner) if type(x) is not int else str(x)) for x in xs]
     return "[\n" + ",\n".join(items) + f"\n{pad}]"
 
 
-def _json_rep_row(row) -> str:
-    """One enumerate row as json.dumps(sort_keys=True, indent=2) writes it
-    inside the reps list."""
-    pad = "      "
-    flag = "null" if row["flag"] is None else row["flag"]
-    return (
-        "    {\n"
-        f'{pad}"R": {row["R"]},\n'
-        f'{pad}"flag": {flag},\n'
-        f'{pad}"lambda": {_json_list(row["lambda"], pad)},\n'
-        f'{pad}"mu": {_json_list(row["mu"], pad)},\n'
-        f'{pad}"rectangles": {_json_list(row["rectangles"], pad)},\n'
-        f'{pad}"text": {encode_basestring_ascii(row["text"])}\n'
-        "    }"
-    )
+class _RowLists(dict):
+    """_json_list of a tuple at the indent of an enumerate row's fields,
+    formatted once per distinct tuple."""
+
+    def __missing__(self, xs):
+        text = self[xs] = _json_list(xs, "      ")
+        return text
 
 
-def _enumerate_json(payload) -> str:
-    """The exact text of json.dumps(payload, sort_keys=True, indent=2).
+def _enumerate_json(args, reps) -> str:
+    """The exact text of json.dumps(payload, sort_keys=True, indent=2) for
+    the enumerate payload.
 
     With an indent, json falls back to its pure-Python encoder, which is
     most of the time of a large enumerate. Only the header goes through
-    json here; each row is written in the fixed layout of _json_rep_row.
+    json here; each row is written straight from its rep in the fixed
+    layout json gives it, from list and partition strings formatted once
+    per distinct value.
     """
-    head, tail = json.dumps({**payload, "reps": []}, sort_keys=True, indent=2).split(
-        '"reps": []'
-    )
-    rows = ",\n".join([_json_rep_row(row) for row in payload["reps"]])
-    reps = f"[\n{rows}\n  ]" if rows else "[]"
-    return f'{head}"reps": {reps}{tail}'
+    inputs = {"family": args.family, "p": args.p, "q": args.q}
+    payload = _payload("enumerate", inputs, {"count": len(reps), "reps": []})
+    head, tail = json.dumps(payload, sort_keys=True, indent=2).split('"reps": []')
+    lists, names = _RowLists(), bracket_names(reps)
+    rows = []
+    for rep in reps:
+        text = text_form(rep, names)
+        rows.append(
+            "    {\n"
+            f'      "R": {rep.R},\n'
+            f'      "flag": {"null" if rep.flag is None else rep.flag},\n'
+            f'      "lambda": {lists[rep.lam]},\n'
+            f'      "mu": {lists[rep.mu]},\n'
+            f'      "rectangles": {lists[rep.skew.rectangles]},\n'
+            f'      "text": {encode_basestring_ascii(text)}\n'
+            "    }"
+        )
+    body = ",\n".join(rows)  # every group has at least its trivial rep
+    return f'{head}"reps": [\n{body}\n  ]{tail}'
 
 
 def _cmd_cohomology(args) -> int:
@@ -352,6 +340,7 @@ def _cmd_verify(args) -> int:
     scales = {
         "lemC": args.max_n,
         "gaussian": args.max_rank,
+        "grassmannian": args.max_pq,
         "poincare": args.max_rank,
         "t1intro": args.max_pq,
         "isolation": args.max_pq,

@@ -19,8 +19,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import DomainError, WrongFamily
-from .partitions import brackets
-from .reps import CohRep, Family, admits_flag_zero, enumerate_reps
+from .reps import CohRep, Family, admits_flag_zero, bracket_names, enumerate_reps
 
 
 class IsolationVerdict(NamedTuple):
@@ -39,9 +38,11 @@ def _index(kind: str, p: int, q: int):
     same pairs.
     """
     index = {}
-    for rep in enumerate_reps(Family(kind, p, q)):
-        lam = brackets(rep.lam)
-        body = lam if kind == "O" else f"{lam}|{brackets(rep.mu)}"
+    reps = enumerate_reps(Family(kind, p, q))
+    names = bracket_names(reps)
+    for rep in reps:
+        lam = names[rep.lam]
+        body = lam if kind == "O" else f"{lam}|{names[rep.mu]}"
         rects = rep.skew.rectangles
         last = rects[-1] if rects else None
         index.setdefault(rep.skew.cells, []).append(

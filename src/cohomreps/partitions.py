@@ -57,9 +57,7 @@ def length(lam: Partition) -> int:
 def conjugate(lam: Partition) -> Partition:
     """Diagonal transpose of the diagram."""
     lam = canonical(lam)
-    if not lam:
-        return ()
-    return tuple(sum(1 for part in lam if part > c) for c in range(lam[0]))
+    return tuple(sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0))
 
 
 def fits_in_box(lam: Partition, p: int, q: int) -> bool:
@@ -82,11 +80,8 @@ def complement(lam: Partition, p: int, q: int) -> Partition:
 
 def contains(inner: Partition, outer: Partition) -> bool:
     """Diagram containment: every row of inner fits inside outer's row."""
-    inner = canonical(inner)
-    outer = canonical(outer)
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
+    inner, outer = canonical(inner), canonical(outer)
+    return len(inner) <= len(outer) and all(x <= y for x, y in zip(inner, outer))
 
 
 def skew_box_set(lam: Partition, mu: Partition, p: int, q: int) -> BoxSet:
@@ -95,13 +90,8 @@ def skew_box_set(lam: Partition, mu: Partition, p: int, q: int) -> BoxSet:
     mu = _require_in_box(mu, p, q)
     if not contains(lam, mu):
         raise NotNested(f"{lam} is not contained in {mu}")
-    cells = set()
-    for r in range(1, p + 1):
-        lo = lam[r - 1] if r <= len(lam) else 0
-        hi = mu[r - 1] if r <= len(mu) else 0
-        for c in range(lo + 1, hi + 1):
-            cells.add((r, c))
-    return frozenset(cells)
+    rows = enumerate(zip(_padded(lam, p), _padded(mu, p)), start=1)
+    return frozenset((r, c) for r, (lo, hi) in rows for c in range(lo + 1, hi + 1))
 
 
 class Rectangle(NamedTuple):
@@ -136,49 +126,34 @@ class SkewDecomposition(NamedTuple):
         return self.cells.bit_count()
 
 
-def _skew_runs(lam_pad: tuple, mu_pad: tuple) -> Optional[list]:
-    """The rectangles of mu/lam as row runs, or None if the pair is not compatible.
+def _skew(lam_pad: tuple, mu_pad: tuple, q: int) -> Optional[SkewDecomposition]:
+    """The decomposition of mu/lam in a box of width q, or None if the pair
+    is not compatible. Trusts its input: the rows are padded to the box
+    height, and lam_pad is a partition contained in mu_pad.
 
-    The compatibility rule, trusting its input: the rows are padded to the
-    box height, lam_pad is a partition and mu_pad contains it. Row r of the
-    skew occupies the column interval (lam_r, mu_r]. Two consecutive
-    nonempty rows belong to one rectangle exactly when their intervals
-    coincide; if the intervals overlap without being equal, some connected
-    component is not a rectangle. Rows with disjoint intervals start a new
-    rectangle strictly down and to the left, touching the previous one in
-    at most a corner. A run is (first_row, last_row, lo, hi), 1-based rows,
-    columns in (lo, hi].
+    Row r of the skew is the column interval (lam_r, mu_r]. Two consecutive
+    nonempty rows belong to one rectangle when their intervals coincide;
+    if they overlap without being equal, some connected component is not
+    a rectangle. Rows with disjoint intervals start a new rectangle down
+    and to the left, touching the one above in at most a corner.
     """
-    runs = []
-    for r, (lo, hi) in enumerate(zip(lam_pad, mu_pad), start=1):
+    rects, anchors, cells, above = [], [], 0, None
+    for r, (lo, hi) in enumerate(zip(lam_pad, mu_pad)):
         if lo == hi:
+            above = None
             continue
-        if runs and runs[-1][1] == r - 1:  # the row above is nonempty
-            first, _, above_lo, above_hi = runs[-1]
-            if (above_lo, above_hi) == (lo, hi):
-                runs[-1] = (first, r, lo, hi)
-                continue
-            # Intervals weakly shrink leftwards down the rows, so the row
-            # above meets this one iff it starts strictly left of this
-            # one's right end.
-            if above_lo < hi:
-                return None
-        runs.append((r, r, lo, hi))
-    return runs
-
-
-def _decomposition(runs, q: int) -> SkewDecomposition:
-    """The SkewDecomposition of a sequence of row runs in a box of width q."""
-    cells = 0
-    for a, b, lo, hi in runs:
-        row = (1 << hi) - (1 << lo)  # columns lo + 1 .. hi
-        for r in range(a - 1, b):
-            cells |= row << r * q
-    return SkewDecomposition(
-        rectangles=tuple(Rectangle(b - a + 1, hi - lo) for a, b, lo, hi in runs),
-        anchors=tuple((a, lo + 1) for a, b, lo, hi in runs),
-        cells=cells,
-    )
+        cells |= ((1 << hi) - (1 << lo)) << r * q
+        if above == (lo, hi):
+            rects[-1] = Rectangle(rects[-1].rows + 1, hi - lo)
+            continue
+        # intervals shrink leftwards down the rows: the row above meets this
+        # one iff it starts left of this one's right end
+        if above and above[0] < hi:
+            return None
+        rects.append(Rectangle(1, hi - lo))
+        anchors.append((r + 1, lo + 1))
+        above = (lo, hi)
+    return SkewDecomposition(tuple(rects), tuple(anchors), cells)
 
 
 def _padded(lam: Partition, p: int) -> tuple:
@@ -194,14 +169,14 @@ def rectangle_decomposition(
     if not contains(lam, mu):
         raise NotNested(f"{lam} is not contained in {mu}")
     lam_pad, mu_pad = _padded(lam, p), _padded(mu, p)
-    runs = _skew_runs(lam_pad, mu_pad)
-    if runs is None:
-        r = next(r for r in range(2, p + 1) if _skew_runs(lam_pad[:r], mu_pad[:r]) is None)
+    skew = _skew(lam_pad, mu_pad, q)
+    if skew is None:
+        r = next(r for r in range(2, p + 1) if _skew(lam_pad[:r], mu_pad[:r], q) is None)
         raise NotCompatible(
             f"skew of ({lam}, {mu}) in {p}x{q}: rows {r - 1} and {r} "
             "overlap in more than a corner"
         )
-    return _decomposition(runs, q)
+    return skew
 
 
 def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
@@ -213,26 +188,31 @@ def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
     when row r-1 is nonempty and lam_r = lam_(r-1); or a new rectangle
     ending at most at column lam_(r-1) (q for the first row), so it starts
     strictly down and to the left of the one above. An empty row always
-    fits, so every partial mu completes and the work is proportional to
-    the output; no incompatible pair is ever built.
+    fits, so every partial mu completes: no incompatible pair is built.
+    The partial mus of a row carry their rectangles, anchors and cells.
     """
-
-    def rows(lam, edges, mu, runs):
-        # edges = (q, lam_1, ..., lam_p); mu and runs cover the rows so far
-        i = len(mu)
-        if i == p:
-            yield lam, mu[: p - mu.count(0)], _decomposition(runs, q)
-            return
-        lo = edges[i + 1]
-        yield from rows(lam, edges, mu + (lo,), runs)
-        if i and lo == edges[i] and mu[-1] > lo:
-            run = (runs[-1][0], i + 1, lo, mu[-1])
-            yield from rows(lam, edges, mu + (mu[-1],), runs[:-1] + (run,))
-        for hi in range(lo + 1, edges[i] + 1):
-            yield from rows(lam, edges, mu + (hi,), runs + ((i + 1, i + 1, lo, hi),))
-
     for lam in enumerate_partitions_in_box(p, q):
-        yield from rows(lam, (q,) + _padded(lam, p), (), ())
+        edges = (q,) + _padded(lam, p)
+        level = [((), (), (), 0)]  # (mu, rectangles, anchors, cells) so far
+        for i in range(p):
+            lo, top, shift = edges[i + 1], edges[i], i * q
+            grown = []
+            for mu, rects, anchors, cells in level:
+                grown.append((mu + (lo,), rects, anchors, cells))
+                if lo < top:
+                    new = ((i + 1, lo + 1),)
+                    grown += [
+                        (mu + (hi,), rects + (Rectangle(1, hi - lo),), anchors + new,
+                         cells | ((1 << hi) - (1 << lo)) << shift)
+                        for hi in range(lo + 1, top + 1)
+                    ]
+                elif i and mu[-1] > lo:
+                    (a, b), row = rects[-1], ((1 << mu[-1]) - (1 << lo)) << shift
+                    rects = rects[:-1] + (Rectangle(a + 1, b),)
+                    grown.append((mu + (mu[-1],), rects, anchors, cells | row))
+            level = grown
+        for mu, rects, anchors, cells in level:
+            yield lam, mu[: p - mu.count(0)], SkewDecomposition(rects, anchors, cells)
 
 
 def is_compatible(lam: Partition, mu: Partition, p: int, q: int) -> bool:
@@ -297,19 +277,38 @@ def _palindrome(
 def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
     """Every orthogonal lam in the p x q box as (lam, complement, decomposition).
 
-    Lex order in lam. The padded complement is plain arithmetic on the
-    padded rows, and the skew goes through the same compatibility rule as
-    rectangle_decomposition; the palindrome tripwire runs on every result.
+    Lex order in lam, built row by row. Row i of the skew is the interval
+    (lam_i, q - lam_(p+1-i)], so lam lies in its complement iff
+    lam_i + lam_(p+1-i) <= q: a row past the middle is bounded by its
+    mirror, the middle row by q // 2. By central symmetry the skew is
+    compatible when its lower half is, which is checked row by row. The
+    palindrome tripwire runs on every result.
     """
-    for lam in enumerate_partitions_in_box(p, q):
-        lam_pad = _padded(lam, p)
-        comp_pad = tuple(q - x for x in reversed(lam_pad))
-        if any(x > y for x, y in zip(lam_pad, comp_pad)):
+    stack = [()]
+    while stack:
+        lam = stack.pop()
+        i = len(lam)
+        if i == p:
+            comp = tuple(q - x for x in reversed(lam))
+            skew = _skew(lam, comp, q)
+            lam = lam[: p - lam.count(0)]
+            yield lam, comp[: p - comp.count(0)], _palindrome(lam, skew, p, q)
             continue
-        runs = _skew_runs(lam_pad, comp_pad)
-        if runs is not None:
-            comp = comp_pad[: p - comp_pad.count(0)]
-            yield lam, comp, _palindrome(lam, _decomposition(runs, q), p, q)
+        top = lam[-1] if i else q
+        if 2 * i + 1 >= p:
+            top = min(top, q - lam[p - 1 - i] if 2 * i + 1 > p else q // 2)
+        kids = [lam + (x,) for x in range(top, -1, -1)]
+        if i and 2 * i >= p:
+            # Rows i - 1 and i (0-based) are the intervals (a, b] and (c, d].
+            # By the rule of _skew they are compatible when a >= d, when one
+            # of them is empty, or when they coincide.
+            a, d = lam[i - 1], q - lam[p - 1 - i]
+            if a < d:
+                kids = [
+                    k for k in kids
+                    if d == k[i] or (b := q - k[p - i]) == a or (k[i], b) == (a, d)
+                ]
+        stack.extend(kids)
 
 
 def is_orthogonal(lam: Partition, p: int, q: int) -> bool:
@@ -324,15 +323,16 @@ def enumerate_partitions_in_box(p: int, q: int) -> Iterator[Partition]:
     """All partitions with at most p parts, each at most q, in lex order."""
     if p < 0 or q < 0:
         raise ValueError("box dimensions must be nonnegative")
+    return _box_partitions(p, q)
 
-    def gen(max_part: int, slots: int) -> Iterator[Partition]:
-        yield ()
-        if slots:
-            for first in range(1, max_part + 1):
-                for rest in gen(first, slots - 1):
-                    yield (first,) + rest
 
-    return gen(q, p)
+def _box_partitions(p: int, q: int) -> Iterator[Partition]:
+    stack = [()]
+    while stack:
+        lam = stack.pop()
+        yield lam
+        if len(lam) < p:
+            stack.extend([lam + (x,) for x in range(lam[-1] if lam else q, 0, -1)])
 
 
 def format_partition(lam: Partition) -> str:

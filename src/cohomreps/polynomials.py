@@ -1,8 +1,11 @@
-"""Dense integer polynomials in one variable t, plus Gaussian binomials."""
+"""Dense integer polynomials in one variable t, plus Gaussian binomials and
+the Poincare polynomials of real Grassmannians."""
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from .errors import InexactDivision
 
 
 class IntPoly:
@@ -125,3 +128,40 @@ def gaussian_binomial(n: int, k: int) -> IntPoly:
     if k == 0 or k == n:
         return ONE
     return gaussian_binomial(n - 1, k - 1) + gaussian_binomial(n - 1, k).shift(k)
+
+
+def _so_degrees(n: int) -> list:
+    """Fundamental invariant degrees of SO(n): 2, 4, ..., 2m - 2 and m when
+    n = 2m; 2, 4, ..., 2m when n = 2m + 1."""
+    return list(range(2, n, 2)) + ([n // 2] if n % 2 == 0 else [])
+
+
+def grassmannian_poincare(a: int, b: int) -> IntPoly:
+    """Poincare polynomial of the oriented real Grassmannian SO(a+b)/SO(a)xSO(b).
+
+    It is also the series of SO(a) x SO(b) invariants in the exterior
+    algebra of R^a (x) R^b (Cartan; Borel, Ann. of Math. 57 (1953)):
+    prod(1 - t^(2d)) over the degrees d of SO(a+b), divided by the same
+    product over the degrees of SO(a) and SO(b). When a and b are both odd
+    the ranks differ by one, so the Euler degree (a+b)/2 leaves the
+    numerator and a factor 1 + t^(a+b-1) comes in. Each division is
+    checked to be exact.
+    """
+    if a < 1 or b < 1:
+        raise ValueError(f"block sizes must be positive, got {a}x{b}")
+    top = _so_degrees(a + b)
+    poly = ONE
+    if a % 2 and b % 2:
+        top.remove((a + b) // 2)
+        poly = ONE + ONE.shift(a + b - 1)
+    for d in top:
+        poly = poly * IntPoly([1] + [0] * (2 * d - 1) + [-1])
+    for d in _so_degrees(a) + _so_degrees(b):
+        # poly = (1 - t^k) * quot means quot_i = poly_i + quot_(i-k)
+        k, c = 2 * d, list(poly.coeffs)
+        for i in range(k, len(c)):
+            c[i] += c[i - k]
+        if any(c[len(c) - k :]):
+            raise InexactDivision(f"{poly} is not divisible by 1 - t^{k}")
+        poly = IntPoly(c[: len(c) - k])
+    return poly

@@ -10,9 +10,9 @@ lies entirely inside the skew shape.
 Each representation knows its lowest cohomological degree R and the module
 (l cap p) on which cohomology is an invariant-theory problem. Poincare
 series come in two independent implementations: a closed product of Gaussian
-binomials (with an exact invariants computation for the real central block
-of the orthogonal family), and a direct evaluation through exterior powers
-and Weyl integration that never looks at the factorization.
+binomials (and, for the real central block of the orthogonal family, the
+Poincare polynomial of a real Grassmannian), and a direct evaluation through
+exterior powers and Weyl integration that never looks at the factorization.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .partitions import (
     orthogonal_partitions,
     rectangle_decomposition,
 )
-from .polynomials import ONE, IntPoly, gaussian_binomial
+from .polynomials import ONE, IntPoly, gaussian_binomial, grassmannian_poincare
 
 FAMILIES = ("U", "O", "Sp")
 
@@ -262,14 +262,8 @@ def lp_character(rep: CohRep):
     return group, chi
 
 
-@lru_cache(maxsize=None)  # one short polynomial per block size; 36 sizes for p+q <= 9
-def _real_center_poincare(p0: int, q0: int) -> IntPoly:
-    group, chi = group_and_module((("real", p0, q0),))
-    return invariant_poincare(group, chi)
-
-
 # One short polynomial per block tuple: 563 for p+q <= 9, 1 099 for p+q <= 10.
-# Past the bound an evicted product is rebuilt from the cached binomials.
+# Past the bound an evicted product is rebuilt from the closed factors.
 @lru_cache(maxsize=4096)
 def _closed_poincare(tags) -> IntPoly:
     poly = ONE
@@ -279,7 +273,7 @@ def _closed_poincare(tags) -> IntPoly:
         elif style == "quat":
             poly = poly * gaussian_binomial(a + b, a).inflate(4)
         else:
-            poly = poly * _real_center_poincare(a, b)
+            poly = poly * grassmannian_poincare(a, b)
     return poly
 
 
@@ -288,9 +282,9 @@ def poincare_closed(rep: CohRep) -> IntPoly:
 
     Hermitian blocks contribute a Gaussian binomial in t^2, quaternionic
     blocks one in t^4, and the real central block of the orthogonal family
-    is handled by the exact invariants engine (cached per block size). The
-    product is cached per tuple of blocks, apart from the oracle's cache,
-    and shifted by t^R, so degrees are absolute.
+    the Poincare polynomial of a real Grassmannian; the invariants engine
+    is never run. The product is cached per tuple of blocks, apart from the
+    oracle's cache, and shifted by t^R, so degrees are absolute.
     """
     return _closed_poincare(block_tags(rep)).shift(rep.R)
 
@@ -319,13 +313,23 @@ def full_cohomology(rep: CohRep):
     )
 
 
-def text_form(rep: CohRep) -> str:
+def bracket_names(reps) -> dict:
+    """The bracket form of every partition of the reps, each formatted once."""
+    parts = {rep.lam for rep in reps}.union(rep.mu for rep in reps)
+    return {lam: brackets(lam) for lam in parts}
+
+
+def text_form(rep: CohRep, names=None) -> str:
+    """The rep as text, e.g. U(2,2) A[[1]|[2,1]]; a caller formatting many
+    reps passes their bracket_names."""
     # lam and mu were validated when the rep was built
+    if names is None:
+        names = {rep.lam: brackets(rep.lam), rep.mu: brackets(rep.mu)}
     kind, p, q = rep.family
     head = f"{kind}({p},{q})"
     if kind == "O":
-        return f"{head} A[{brackets(rep.lam)}]"
-    body = f"A[{brackets(rep.lam)}|{brackets(rep.mu)}]"
+        return f"{head} A[{names[rep.lam]}]"
+    body = f"A[{names[rep.lam]}|{names[rep.mu]}]"
     if kind == "Sp":
         return f"{head} {body}_{rep.flag}"
     return f"{head} {body}"

@@ -88,6 +88,11 @@ def test_criterion_3_closed_form_matches_invariant_computation():
             assert IntPoly(rebuilt) == closed, f"mismatch at {rep!r}"
     # hermitian and quaternionic blocks with a + b <= 5
     assert run("gaussian", 5)["mismatches"] == []
+    # real blocks SO(a) x SO(b) with a <= b, a + b <= 11, against the
+    # Grassmannian product the closed path uses for every O rep
+    assert run("grassmannian", 11) == {
+        "name": "grassmannian", "scale": 11, "cases": 30, "mismatches": []
+    }
     # every U, O and Sp rep with p + q <= 6; Sp(3,4) trivial is past the
     # oracle's budget, so the sweep stops there
     assert run("poincare", 6) == {"name": "poincare", "scale": 6, "cases": 1178, "mismatches": []}

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cohomreps import __version__, checks
+from cohomreps import Family, __version__, checks, enumerate_reps, text_form
 from cohomreps.cli import main
 
 
@@ -38,10 +38,25 @@ def test_enumerate_u11(capsys):
 @pytest.mark.parametrize("kind", ["U", "O", "Sp"])
 def test_enumerate_json_is_json_dumps(capsys, kind):
     # enumerate writes its rows itself; the bytes must be those of json.dumps
+    # and the rows those of the reps
     for p, q in checks.signatures(8):
         code, out = run(capsys, "enumerate", kind, str(p), str(q))
         assert code == 0
-        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        doc = json.loads(out)
+        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        reps = enumerate_reps(Family(kind, p, q))
+        assert doc["count"] == len(reps)
+        assert doc["reps"] == [
+            {
+                "text": text_form(rep),
+                "lambda": list(rep.lam),
+                "mu": list(rep.mu),
+                "flag": rep.flag,
+                "R": rep.R,
+                "rectangles": [list(r) for r in rep.skew.rectangles],
+            }
+            for rep in reps
+        ]
 
 
 def test_enumerate_tsv(capsys):
@@ -51,6 +66,29 @@ def test_enumerate_tsv(capsys):
     assert lines[0] == "text\tlambda\tmu\tflag\tR"
     assert len(lines) == 5  # header plus four parameters
     assert all(line.count("\t") == 4 for line in lines)
+
+
+def test_enumerate_tsv_rows_are_the_reps(capsys):
+    code, out = run(capsys, "enumerate", "O", "2", "3", "--format", "tsv")
+    assert code == 0
+    assert out == (
+        "text\tlambda\tmu\tflag\tR\n"
+        "O(2,3) A[[]]\t[]\t[3, 3]\t-\t0\n"
+        "O(2,3) A[[1,1]]\t[1, 1]\t[2, 2]\t-\t2\n"
+        "O(2,3) A[[2]]\t[2]\t[3, 1]\t-\t2\n"
+        "O(2,3) A[[2,1]]\t[2, 1]\t[2, 1]\t-\t3\n"
+        "O(2,3) A[[3]]\t[3]\t[3]\t-\t3\n"
+    )
+    for kind in ("U", "O", "Sp"):
+        for p, q in checks.signatures(6):
+            code, out = run(capsys, "enumerate", kind, str(p), str(q), "--format", "tsv")
+            lines = ["text\tlambda\tmu\tflag\tR"]
+            for rep in enumerate_reps(Family(kind, p, q)):
+                flag = "-" if rep.flag is None else str(rep.flag)
+                cells = [text_form(rep), str(list(rep.lam)), str(list(rep.mu)), flag, str(rep.R)]
+                lines.append("\t".join(cells))
+            assert code == 0
+            assert out == "\n".join(lines) + "\n", f"{kind}({p},{q})"
 
 
 def test_cohomology_trivial_u11(capsys):
@@ -71,6 +109,13 @@ def test_cohomology_closed_only_skips_oracle(capsys):
     assert code == 0
     assert doc["poincare_oracle"] is None
     assert doc["cohomology"][0] == [0, 1]
+    # the real central block SO(7) x SO(7) has a closed form; its SO(14)
+    # factor is past the oracle's half-denominator cap
+    code, doc = run_json(capsys, "cohomology", "O", "7", "7", "--closed-only")
+    assert code == 0
+    assert doc["levi_blocks"] == [["real", 7, 7]]
+    assert doc["poincare_closed"][:5] == [1, 0, 0, 0, 1]
+    assert len(doc["poincare_closed"]) == 50 and doc["poincare_closed"][-1] == 1
 
 
 def test_cohomology_sp_flag_argument(capsys):
@@ -141,6 +186,7 @@ def test_restrict_top_mode(capsys):
     [
         ("verify", "lemC", "--max-n", "6"),
         ("verify", "gaussian", "--max-rank", "3"),
+        ("verify", "grassmannian", "--max-pq", "8"),
         ("verify", "t1intro", "--max-pq", "6"),
         ("verify", "isolation", "--max-pq", "6"),
         ("verify", "all", "--max-n", "6", "--max-rank", "3", "--max-pq", "5"),

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from cohomreps import IntPoly, gaussian_binomial
-from cohomreps.polynomials import ONE, ZERO
+from cohomreps.polynomials import ONE, ZERO, grassmannian_poincare
 
 
 def test_trailing_zeros_dropped():
@@ -83,3 +83,18 @@ def test_gaussian_symmetries():
             assert g == gaussian_binomial(n, n - k)
             assert g.is_palindromic()
             assert g.degree == k * (n - k) or not g.coeffs
+
+
+def test_grassmannian_poincare_known_spaces():
+    # SO(1+n)/SO(n) is the sphere S^n, SO(2)/SO(1)xSO(1) the circle, and
+    # SO(4)/SO(2)xSO(2) is S^2 x S^2
+    for n in range(1, 12):
+        assert grassmannian_poincare(1, n).coeffs == (1,) + (0,) * (n - 1) + (1,)
+    assert grassmannian_poincare(2, 2).coeffs == (1, 0, 2, 0, 1)
+    for a in range(1, 7):
+        for b in range(1, 7):
+            poly = grassmannian_poincare(a, b)
+            assert poly == grassmannian_poincare(b, a)
+            assert poly.degree == a * b and poly.is_palindromic()
+    with pytest.raises(ValueError):
+        grassmannian_poincare(0, 3)

@@ -24,9 +24,10 @@ from cohomreps import (
     text_form,
     trivial_rep,
 )
-from cohomreps import partitions, reps
+from cohomreps import group_and_module, invariant_poincare, partitions, reps
 from cohomreps.checks import signatures
-from cohomreps.reps import FAMILIES, _real_center_poincare
+from cohomreps.polynomials import grassmannian_poincare
+from cohomreps.reps import FAMILIES
 
 
 class TestFamily:
@@ -163,7 +164,8 @@ def scan_reps(fam):
 
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_enumeration_equals_quadratic_scan(kind):
-    for p, q in signatures(9):
+    # O is cheap to scan, and its enumeration prunes the box rows by hand
+    for p, q in signatures(12 if kind == "O" else 9):
         fam = Family(kind, p, q)
         assert list(enumerate_reps(fam)) == scan_reps(fam), f"{kind}({p},{q})"
 
@@ -178,6 +180,17 @@ def test_enumeration_decomposes_each_pair_once(monkeypatch):
                 monkeypatch.setattr(module, name, revalidated)
     for kind in FAMILIES:
         assert reps._enumerate_cached.__wrapped__(kind, 3, 4)
+
+
+def test_orthogonal_enumeration_skips_the_box_scan(monkeypatch):
+    # lam is built row by row within the bounds its complement sets, so the
+    # work follows the output rather than the C(p+q, p) box partitions
+    def scan(*args):
+        raise AssertionError("orthogonal enumeration scanned the whole box")
+
+    monkeypatch.setattr(partitions, "enumerate_partitions_in_box", scan)
+    for p, q in [(1, 1), (3, 4), (6, 6)]:
+        assert reps._enumerate_cached.__wrapped__("O", p, q)
 
 
 def test_enumeration_is_sorted_and_flag_zero_first():
@@ -278,10 +291,22 @@ class TestOracleAgreement:
             assert poincare_oracle(rep) == poincare_closed(rep)
 
 
+def test_closed_product_never_runs_the_engine(monkeypatch):
+    def engine(*args):
+        raise AssertionError("poincare_closed ran the invariants engine")
+
+    monkeypatch.setattr(reps, "invariant_poincare", engine)
+    reps._closed_poincare.cache_clear()
+    for fam in [Family("O", 5, 5), Family("O", 6, 7), Family("Sp", 2, 3), Family("U", 3, 3)]:
+        assert poincare_closed(trivial_rep(fam)).is_palindromic()
+
+
 def test_real_center_block_4_4():
-    poly = _real_center_poincare(4, 4)
+    # the closed Grassmannian product and the engine on SO(4) x SO(4)
+    poly = grassmannian_poincare(4, 4)
     assert poly.coeffs == (1, 0, 0, 0, 3, 0, 0, 0, 4, 0, 0, 0, 3, 0, 0, 0, 1)
     assert poly.is_palindromic()
+    assert invariant_poincare(*group_and_module((("real", 4, 4),))) == poly
 
 
 def test_text_forms():
