@@ -32,9 +32,11 @@ exterior series is never built.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial
+from operator import add, sub
 
 from .errors import DomainError, InvariantViolation, SignatureMismatch
 from .polynomials import IntPoly
@@ -51,16 +53,17 @@ class Character:
     __slots__ = ("rank", "terms")
 
     def __init__(self, rank: int, terms=None):
-        if rank < 0:
-            raise ValueError("rank must be nonnegative")
+        if type(rank) is not int or rank < 0:
+            raise ValueError(f"rank {rank!r} must be a nonnegative int")
         clean = {}
         for w, c in (terms or {}).items():
-            w = tuple(int(x) for x in w)
+            w = tuple(w)
             if len(w) != rank:
                 raise SignatureMismatch(
                     f"weight {w} has length {len(w)}, expected rank {rank}"
                 )
-            c = int(c)
+            if type(c) is not int or any(type(x) is not int for x in w):
+                raise DomainError(f"weight {w!r} and multiplicity {c!r} must be ints")
             if c:
                 clean[w] = clean.get(w, 0) + c
         self.rank = rank
@@ -68,11 +71,7 @@ class Character:
 
     @classmethod
     def from_weights(cls, rank: int, weights) -> "Character":
-        terms = {}
-        for w in weights:
-            w = tuple(int(x) for x in w)
-            terms[w] = terms.get(w, 0) + 1
-        return cls(rank, terms)
+        return cls(rank, Counter(map(tuple, weights)))
 
     def dimension(self) -> int:
         """Value at the identity, i.e. the sum of all multiplicities."""
@@ -107,9 +106,9 @@ HALF_DENOMINATOR_CAP = 100_000
 
 def _check_factor(factor: Factor) -> Factor:
     kind, n = factor
-    if kind not in _KINDS or int(n) < 0:
+    if kind not in _KINDS or type(n) is not int or n < 0:
         raise ValueError(f"bad group factor {factor!r}")
-    return (kind, int(n))
+    return factor
 
 
 def factor_rank(factor: Factor) -> int:
@@ -130,46 +129,27 @@ def factor_weyl_order(factor: Factor) -> int:
 
 
 def factor_roots(factor: Factor):
-    """All roots (positive and negative) in factor-local coordinates."""
-    kind, n = _check_factor(factor)
-    rank = factor_rank(factor)
+    """All roots (positive and negative) in factor-local coordinates.
 
-    def e(i, c=1):
-        v = [0] * rank
-        v[i] = c
-        return tuple(v)
-
-    def pm_pairs():
-        out = []
-        for i in range(rank):
-            for j in range(i + 1, rank):
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        v = [0] * rank
-                        v[i], v[j] = si, sj
-                        out.append(tuple(v))
-        return out
-
-    if kind == "U":
-        roots = []
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    v = [0] * n
-                    v[i], v[j] = 1, -1
-                    roots.append(tuple(v))
-        return roots
-    if kind == "Sp":
-        return pm_pairs() + [e(i, 2 * s) for i in range(rank) for s in (1, -1)]
-    # SO(n)
-    roots = pm_pairs()
-    if n % 2:
-        roots += [e(i, s) for i in range(rank) for s in (1, -1)]
-    return roots
+    They are the nonzero weights of the adjoint representation, built from
+    the standard one: std (x) std* for U(n), Sym^2 std for Sp(n) and
+    Lambda^2 std for SO(n) (Fulton and Harris, Representation Theory,
+    Lectures 15-20).
+    """
+    std = standard_weights(factor)
+    if factor[0] == "U":
+        weights = (tuple(map(sub, u, v)) for u, v in permutations(std, 2))
+    else:
+        pairs = combinations_with_replacement if factor[0] == "Sp" else combinations
+        weights = (tuple(map(add, u, v)) for u, v in pairs(std, 2))
+    return [w for w in weights if any(w)]
 
 
 def standard_weights(factor: Factor):
-    """Weights of the defining representation, factor-local coordinates."""
+    """Weights of the defining representation, factor-local coordinates.
+
+    The roots and every Levi module are built from these lists.
+    """
     kind, n = _check_factor(factor)
     rank = factor_rank(factor)
 
@@ -180,10 +160,8 @@ def standard_weights(factor: Factor):
 
     if kind == "U":
         return [e(i) for i in range(n)]
-    if kind == "Sp":
-        return [e(i, s) for i in range(rank) for s in (1, -1)]
     weights = [e(i, s) for i in range(rank) for s in (1, -1)]
-    if n % 2:
+    if kind == "SO" and n % 2:
         weights.append((0,) * rank)
     return weights
 
@@ -193,15 +171,16 @@ def _half_denominator(factor: Factor):
     """prod over the positive roots alpha of (1 - x^-alpha), as a dict.
 
     The positive roots are the ones whose first nonzero coordinate is
-    positive. By the Weyl denominator identity the result has exactly |W|
+    positive; they are multiplied in sorted order, the fastest order
+    measured. By the Weyl denominator identity the result has exactly |W|
     terms, each +1 or -1; the tests hold it to that. DomainError is raised
     before a product of more than HALF_DENOMINATOR_CAP terms is expanded.
     """
     if factor_weyl_order(factor) > HALF_DENOMINATOR_CAP:
         raise _over_budget(f"a half denominator of more than {HALF_DENOMINATOR_CAP} terms")
-    roots = factor_roots(factor)
-    terms = {(0,) * factor_rank(factor): 1}
-    for alpha in [a for a in roots if a > (0,) * len(a)]:
+    zero = (0,) * factor_rank(factor)
+    terms = {zero: 1}
+    for alpha in sorted(a for a in factor_roots(factor) if a > zero):
         nxt = dict(terms)
         for w, c in terms.items():
             shifted = tuple(x - y for x, y in zip(w, alpha))

@@ -30,16 +30,17 @@ def sweep_lemC(max_n: int):
                 yield f"n={n} b={b} p={p}", best == N(b, n, p) and uniform
 
 
-def sweep_gaussian(max_rank: int):
+def sweep_gaussian(max_pq: int):
     """The oracle on one hermitian or quaternionic block against a Gaussian binomial."""
     from .characters import invariant_poincare
     from .polynomials import gaussian_binomial
-    from .reps import group_and_module
+    from .reps import BLOCKS, group_and_module
 
-    for a, b in signatures(max_rank):
+    for a, b in signatures(max_pq):
         expected = gaussian_binomial(a + b, a)
-        for style, step in (("her", 2), ("quat", 4)):
+        for style in ("her", "quat"):
             group, chi = group_and_module(((style, a, b),))
+            step = BLOCKS[style][1]
             yield f"{style} {a}x{b}", invariant_poincare(group, chi) == expected.inflate(step)
 
 
@@ -92,21 +93,26 @@ def sweep_isolation(max_pq: int):
             yield text_form(rep), agrees
 
 
+# Each check with its default scale: n for lemC, p+q (a+b for one block)
+# for the others.
 CHECKS = {
-    "lemC": sweep_lemC,
-    "gaussian": sweep_gaussian,
-    "grassmannian": sweep_grassmannian,
-    "poincare": sweep_poincare,
-    "t1intro": sweep_t1intro,
-    "isolation": sweep_isolation,
+    "lemC": (sweep_lemC, 12),
+    "gaussian": (sweep_gaussian, 4),
+    "grassmannian": (sweep_grassmannian, 9),
+    "poincare": (sweep_poincare, 4),
+    "t1intro": (sweep_t1intro, 9),
+    "isolation": (sweep_isolation, 9),
 }
 
 
-def run(name: str, scale: int) -> dict:
-    """Run one check; the result lists the labels of the disagreeing cases."""
+def run(name: str, scale=None) -> dict:
+    """Run one check, at its default scale unless one is given; the result
+    lists the labels of the disagreeing cases."""
+    sweep, default = CHECKS[name]
+    scale = default if scale is None else scale
     cases = 0
     mismatches = []
-    for label, agrees in CHECKS[name](scale):
+    for label, agrees in sweep(scale):
         cases += 1
         if not agrees:
             mismatches.append(label)

@@ -25,7 +25,6 @@ from .reps import (
     block_tags,
     bracket_names,
     enumerate_reps,
-    full_cohomology,
     hodge_type,
     make_rep,
     poincare_closed,
@@ -103,9 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
     # Set after add_argument, which formats the choices of a new argument
     # and so would import checks whatever the subcommand.
     p_ver.add_argument("subject").choices = _VerifySubjects()
-    p_ver.add_argument("--max-n", type=int, default=12)
-    p_ver.add_argument("--max-rank", type=int, default=4)
-    p_ver.add_argument("--max-pq", type=int, default=9)
+    p_ver.add_argument("--max-n", type=int, default=None,
+                       help="bound on n for lemC (default: its own scale)")
+    p_ver.add_argument("--max-pq", type=int, default=None,
+                       help="bound on p+q or a+b for the other checks (default: each its own)")
 
     return parser
 
@@ -130,10 +130,6 @@ def _rep_inputs(args, rep):
         "mu": list(rep.mu),
         "flag": rep.flag,
     }
-
-
-def _poly_json(poly):
-    return list(poly.coeffs)
 
 
 def _verdict_json(v):
@@ -226,22 +222,16 @@ def _enumerate_json(args, reps) -> str:
 def _cmd_cohomology(args) -> int:
     rep = _rep_from_args(args)
     closed = poincare_closed(rep)
-    if args.closed_only:
-        oracle = None
-        cohom = [
-            [deg, c] for deg, c in enumerate(closed.coeffs) if c
-        ]
-    else:
-        oracle = poincare_oracle(rep)
-        cohom = [list(pair) for pair in full_cohomology(rep)]
+    oracle = None if args.closed_only else poincare_oracle(rep)
+    poly = closed if oracle is None else oracle
     body = {
         "rep": text_form(rep),
         "R": rep.R,
         "hodge": list(hodge_type(rep)) if rep.family.kind == "U" else None,
         "levi_blocks": [list(t) for t in block_tags(rep)],
-        "poincare_closed": _poly_json(closed),
-        "poincare_oracle": None if oracle is None else _poly_json(oracle),
-        "cohomology": cohom,
+        "poincare_closed": list(closed.coeffs),
+        "poincare_oracle": None if oracle is None else list(oracle.coeffs),
+        "cohomology": [[deg, c] for deg, c in enumerate(poly.coeffs) if c],
     }
     payload = _payload("cohomology", _rep_inputs(args, rep), body)
     _emit(payload, args.format)
@@ -337,16 +327,8 @@ def _cmd_restrict(args) -> int:
 def _cmd_verify(args) -> int:
     from . import checks
 
-    scales = {
-        "lemC": args.max_n,
-        "gaussian": args.max_rank,
-        "grassmannian": args.max_pq,
-        "poincare": args.max_rank,
-        "t1intro": args.max_pq,
-        "isolation": args.max_pq,
-    }
     names = list(checks.CHECKS) if args.subject == "all" else [args.subject]
-    results = [checks.run(name, scales[name]) for name in names]
+    results = [checks.run(name, args.max_n if name == "lemC" else args.max_pq) for name in names]
     # a check that ran no cases checked nothing, so it does not pass
     ok = all(result["cases"] and not result["mismatches"] for result in results)
     _emit(_payload("verify", vars(args), {"checks": results, "ok": ok}), "json")

@@ -34,6 +34,9 @@ class GLBlock(namedtuple("GLBlock", "m j alpha")):
     __slots__ = ()
 
     def __new__(cls, m: int, j: int, alpha: Optional[Fraction] = None):
+        exact_alpha = alpha is None or type(alpha) is Fraction
+        if type(m) is not int or type(j) is not int or not exact_alpha:
+            raise DomainError(f"u({m!r},{j!r})[{alpha!r}] needs int sizes and a Fraction twist")
         if m not in (1, 2):
             raise DomainError(f"block multiplicity must be 1 or 2, got {m}")
         if j < 1:
@@ -108,6 +111,13 @@ def pad_rho(m: int, n: int):
     return rm[:half] + (Fraction(0),) * (n - 2 * half) + rm[m - half :]
 
 
+def _exact(x) -> Fraction:
+    """x as a Fraction; only ints and Fractions are exact inputs."""
+    if type(x) not in (int, Fraction):
+        raise DomainError(f"{x!r} is not an int or a Fraction")
+    return Fraction(x)
+
+
 def restrict_prediction(T, m: int, mode: str = "outer"):
     """Predicted exponent vector of the restriction to GL(m).
 
@@ -116,7 +126,7 @@ def restrict_prediction(T, m: int, mode: str = "outer"):
     negative entries are clipped to zero. No re-sorting happens, so a
     prediction exposes any failure of interlacing on purpose.
     """
-    T = tuple(Fraction(x) for x in T)
+    T = tuple(map(_exact, T))
     n = len(T)
     if not 1 <= m <= n:
         raise BadRank(f"cannot restrict length {n} to length {m}")
@@ -151,7 +161,7 @@ def rho_rank1(kind: str, n: int) -> Fraction:
 
 def hyp_transfer(rho_G: Fraction, rho_H: Fraction, eps: Fraction) -> Fraction:
     """Push a spectral-gap bound through a rank-one embedding H < G."""
-    rho_G, rho_H, eps = Fraction(rho_G), Fraction(rho_H), Fraction(eps)
+    rho_G, rho_H, eps = _exact(rho_G), _exact(rho_H), _exact(eps)
     if not rho_G >= rho_H > 0:
         raise DomainError(f"need rho_G >= rho_H > 0, got {rho_G}, {rho_H}")
     if eps < 0:
@@ -175,9 +185,7 @@ def hyp_chain_epsilon(n: int) -> Fraction:
 
 def rel_threshold_met(rho_L0, rho_restriction, eps) -> bool:
     """Strict comparison 2 * rho_L0 - rho_restriction > eps."""
-    rho_L0 = Fraction(rho_L0)
-    rho_restriction = Fraction(rho_restriction)
-    eps = Fraction(eps)
+    rho_L0, rho_restriction, eps = _exact(rho_L0), _exact(rho_restriction), _exact(eps)
     if rho_L0 <= 0 or rho_restriction < 0 or eps < 0:
         raise DomainError("half-sums must be positive and eps nonnegative")
     return 2 * rho_L0 - rho_restriction > eps
@@ -195,7 +203,7 @@ def repka_diagonal(r, s) -> RepkaResult:
     stays tempered when r + s <= 1 and otherwise meets exactly one
     complementary series, with parameter r + s - 1.
     """
-    r, s = Fraction(r), Fraction(s)
+    r, s = _exact(r), _exact(s)
     if not (0 < r < 1 and 0 < s < 1):
         raise DomainError(f"need 0 < r, s < 1, got r={r} s={s}")
     if r + s <= 1:

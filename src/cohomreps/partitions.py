@@ -46,14 +46,6 @@ def canonical(parts: Sequence[int]) -> Partition:
     return parts
 
 
-def weight(lam: Partition) -> int:
-    return sum(lam)
-
-
-def length(lam: Partition) -> int:
-    return len(lam)
-
-
 def conjugate(lam: Partition) -> Partition:
     """Diagonal transpose of the diagram."""
     lam = canonical(lam)

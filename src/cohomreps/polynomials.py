@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import InexactDivision
+from .errors import DomainError, InexactDivision
 
 
 class IntPoly:
@@ -14,7 +14,9 @@ class IntPoly:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs=()):
-        c = [int(x) for x in coeffs]
+        c = list(coeffs)
+        if any(type(x) is not int for x in c):
+            raise DomainError(f"coefficients {c!r} must be ints")
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "_c", tuple(c))
@@ -116,13 +118,16 @@ ONE = IntPoly((1,))
 # The bound holds the whole triangle n <= 43 (990 entries), so the Pascal
 # recursion below finds every smaller entry it needs at any box size the
 # package reaches; blocks with p+q <= 10 use at most 66 entries.
-@lru_cache(maxsize=1024)
+# typed, so that a float or bool equal to a cached int reaches the check
+@lru_cache(maxsize=1024, typed=True)
 def gaussian_binomial(n: int, k: int) -> IntPoly:
     """The q-binomial coefficient as a polynomial in t.
 
     Computed through the Pascal recurrence [n,k] = [n-1,k-1] + t^k [n-1,k],
     which keeps everything in integer arithmetic.
     """
+    if type(n) is not int or type(k) is not int:
+        raise DomainError(f"gaussian_binomial needs ints, got ({n!r}, {k!r})")
     if k < 0 or k > n:
         return ZERO
     if k == 0 or k == n:
@@ -147,8 +152,8 @@ def grassmannian_poincare(a: int, b: int) -> IntPoly:
     numerator and a factor 1 + t^(a+b-1) comes in. Each division is
     checked to be exact.
     """
-    if a < 1 or b < 1:
-        raise ValueError(f"block sizes must be positive, got {a}x{b}")
+    if type(a) is not int or type(b) is not int or a < 1 or b < 1:
+        raise ValueError(f"block sizes must be positive ints, got {a!r}x{b!r}")
     top = _so_degrees(a + b)
     poly = ONE
     if a % 2 and b % 2:

@@ -21,13 +21,7 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .characters import (
-    Character,
-    CompactGroupSpec,
-    factor_rank,
-    invariant_poincare,
-    standard_weights,
-)
+from .characters import Character, CompactGroupSpec, invariant_poincare, standard_weights
 from .errors import DomainError, InvariantViolation, NotOrthogonal, WrongFamily
 from .partitions import (
     OrthogonalDecomposition,
@@ -118,7 +112,7 @@ def make_rep(family: Family, lam, mu=None, flag=None) -> CohRep:
     if family.kind == "U":
         if flag is not None:
             raise WrongFamily("the flag parameter belongs to the Sp family")
-    elif flag not in (0, 1):
+    elif type(flag) is not int or flag not in (0, 1):
         raise DomainError("the Sp family needs flag 0 or 1")
     elif flag == 0 and not admits_flag_zero(lam, mu, p):
         raise DomainError(
@@ -188,10 +182,14 @@ def hodge_type(rep: CohRep):
 # ---------------------------------------------------------------------------
 # The (l cap p) module. Each block tag describes one Levi factor pair and
 # the piece of p it acts on:
-#   ("her", a, b)   U(a) x U(b) on E (x) F* + E* (x) F, dimension 2ab
-#   ("quat", a, b)  Sp(a) x Sp(b) on the full tensor of standards, dim 4ab
-#   ("real", a, b)  SO(a) x SO(b) on the tensor of standards, dim ab
+#   ("her", a, b)   U(a) x U(b) on E (x) F* + E* (x) F
+#   ("quat", a, b)  Sp(a) x Sp(b) on the tensor product of the standards
+#   ("real", a, b)  SO(a) x SO(b) on the tensor product of the standards
 # ---------------------------------------------------------------------------
+
+# Each style's compact kind and its module dimension per cell of the a x b
+# block, which is also the degree step of the block's closed factor.
+BLOCKS = {"her": ("U", 2), "quat": ("Sp", 4), "real": ("SO", 1)}
 
 
 def block_tags(rep: CohRep):
@@ -212,54 +210,45 @@ def block_tags(rep: CohRep):
     return tuple(("her", a, b) for a, b in rects)
 
 
-_FACTOR_KIND = {"her": "U", "quat": "Sp", "real": "SO"}
+def _negative(w):
+    return tuple(-x for x in w)
 
 
 def group_and_module(tags):
-    """The compact group and the character of the module that tags describe."""
-    factors = []
-    for style, a, b in tags:
-        kind = _FACTOR_KIND[style]
-        factors.extend([(kind, a), (kind, b)])
-    group = CompactGroupSpec(tuple(factors))
-    rank = group.rank
+    """The compact group and the character of the module that tags describe.
+
+    Every block is built from the standard weights of its two factors: a
+    quaternionic or real block acts on their tensor product, a hermitian
+    block on E (x) F* and its dual. InvariantViolation is raised when the
+    dimension differs from the one the blocks give.
+    """
+    factors = tuple((BLOCKS[style][0], n) for style, a, b in tags for n in (a, b))
+    group = CompactGroupSpec(factors)
     weights = []
-    offset = 0
-    for style, a, b in tags:
-        fa = (_FACTOR_KIND[style], a)
-        fb = (_FACTOR_KIND[style], b)
-        ra, rb = factor_rank(fa), factor_rank(fb)
+    for i, (style, _, _) in enumerate(tags):
+        left, right = factors[2 * i : 2 * i + 2]
+        (start, _), (_, stop) = group.slices[2 * i : 2 * i + 2]
+        wb = standard_weights(right)
+        if style == "her":  # E (x) F* here, its dual below
+            wb = list(map(_negative, wb))
+        local = [u + v for u in standard_weights(left) for v in wb]
         if style == "her":
-            for i in range(a):
-                for j in range(b):
-                    for s in (1, -1):
-                        w = [0] * rank
-                        w[offset + i] = s
-                        w[offset + a + j] = -s
-                        weights.append(tuple(w))
-        else:
-            for sa in standard_weights(fa):
-                for sb in standard_weights(fb):
-                    w = [0] * rank
-                    w[offset : offset + ra] = sa
-                    w[offset + ra : offset + ra + rb] = sb
-                    weights.append(tuple(w))
-        offset += ra + rb
-    return group, Character.from_weights(rank, weights)
+            local += [_negative(w) for w in local]
+        pad, tail = (0,) * start, (0,) * (group.rank - stop)
+        weights += [pad + w + tail for w in local]
+    chi = Character.from_weights(group.rank, weights)
+    expected = sum(BLOCKS[style][1] * a * b for style, a, b in tags)
+    if chi.dimension() != expected:
+        raise InvariantViolation(
+            f"the module of {tags} has dimension {chi.dimension()}, "
+            f"its Levi blocks give {expected}"
+        )
+    return group, chi
 
 
 def lp_character(rep: CohRep):
     """The compact Levi factor and the character of its module inside p."""
-    group, chi = group_and_module(block_tags(rep))
-    expected = 0
-    for style, a, b in block_tags(rep):
-        expected += {"her": 2, "quat": 4, "real": 1}[style] * a * b
-    if chi.dimension() != expected:
-        raise InvariantViolation(
-            f"module of {text_form(rep)} has dimension {chi.dimension()}, "
-            f"its Levi blocks give {expected}"
-        )
-    return group, chi
+    return group_and_module(block_tags(rep))
 
 
 # One short polynomial per block tuple: 563 for p+q <= 9, 1 099 for p+q <= 10.
@@ -268,12 +257,10 @@ def lp_character(rep: CohRep):
 def _closed_poincare(tags) -> IntPoly:
     poly = ONE
     for style, a, b in tags:
-        if style == "her":
-            poly = poly * gaussian_binomial(a + b, a).inflate(2)
-        elif style == "quat":
-            poly = poly * gaussian_binomial(a + b, a).inflate(4)
-        else:
+        if style == "real":
             poly = poly * grassmannian_poincare(a, b)
+        else:
+            poly = poly * gaussian_binomial(a + b, a).inflate(BLOCKS[style][1])
     return poly
 
 
@@ -289,9 +276,9 @@ def poincare_closed(rep: CohRep) -> IntPoly:
     return _closed_poincare(block_tags(rep)).shift(rep.R)
 
 
-@lru_cache(maxsize=None)  # one short polynomial per block multiset; 398 for p+q <= 9
-def _oracle_poincare(tags) -> IntPoly:
-    group, chi = group_and_module(tags)
+@lru_cache(maxsize=None)  # one short polynomial per module; 117 for p+q <= 8
+def _oracle_poincare(module) -> IntPoly:
+    group, chi = group_and_module(module)
     return invariant_poincare(group, chi)
 
 
@@ -299,18 +286,17 @@ def poincare_oracle(rep: CohRep) -> IntPoly:
     """Same polynomial as poincare_closed, computed without factorizing.
 
     The whole module is fed to the exterior-power and Weyl-integration
-    machinery at once. Results are cached by the multiset of blocks, which
-    determines the module up to reordering coordinates.
+    machinery at once. Results are cached per module: the multiset of
+    blocks, each with its sides in order, since a block (a, b) is the block
+    (b, a) with its two factors swapped.
     """
-    return _oracle_poincare(tuple(sorted(block_tags(rep)))).shift(rep.R)
+    module = sorted([(s, a, b) if a <= b else (s, b, a) for s, a, b in block_tags(rep)])
+    return _oracle_poincare(tuple(module)).shift(rep.R)
 
 
 def full_cohomology(rep: CohRep):
     """Nonzero cohomology as ((degree, dimension), ...), degrees absolute."""
-    poly = _oracle_poincare(tuple(sorted(block_tags(rep))))
-    return tuple(
-        (rep.R + j, c) for j, c in enumerate(poly.coeffs) if c
-    )
+    return tuple((deg, c) for deg, c in enumerate(poincare_oracle(rep).coeffs) if c)
 
 
 def bracket_names(reps) -> dict:

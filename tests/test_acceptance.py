@@ -257,7 +257,7 @@ BATTERY = [
     ["restrict", "u(1,3)", "1"],
     ["restrict", "u(1,3)+u(2,2)[1/3]", "2", "--clip-mode", "top"],
     ["verify", "lemC", "--max-n", "8"],
-    ["verify", "gaussian", "--max-rank", "3"],
+    ["verify", "gaussian", "--max-pq", "3"],
 ]
 
 

@@ -388,6 +388,42 @@ def test_weyl_orders():
     assert factor_weyl_order(("Sp", 2)) == 8
 
 
+def textbook_roots(factor):
+    """e_i - e_j for U(n); +-e_i +- e_j, and 2e_i for Sp(n) or e_i for odd
+    SO(n), in the n // 2 or n coordinates of the factor's torus."""
+    kind, n = factor
+    rank = factor_rank(factor)
+
+    def e(*entries):
+        v = [0] * rank
+        for i, c in entries:
+            v[i] += c
+        return tuple(v)
+
+    if kind == "U":
+        return {e((i, 1), (j, -1)) for i in range(n) for j in range(n) if i != j}
+    signs = (1, -1)
+    roots = {e((i, s), (j, t)) for i in range(rank) for j in range(i) for s in signs for t in signs}
+    if kind == "Sp":
+        roots |= {e((i, 2 * s)) for i in range(rank) for s in signs}
+    elif n % 2:
+        roots |= {e((i, s)) for i in range(rank) for s in signs}
+    return roots
+
+
+# every factor whose half denominator HALF_DENOMINATOR_CAP lets through
+UNDER_THE_CAP = [("U", n) for n in range(9)] + [("Sp", n) for n in range(7)]
+UNDER_THE_CAP += [("SO", n) for n in range(14)]
+
+
+@pytest.mark.parametrize("factor", UNDER_THE_CAP, ids=factor_id)
+def test_roots_are_the_textbook_root_system(factor):
+    assert factor_weyl_order(factor) <= characters.HALF_DENOMINATOR_CAP
+    roots = factor_roots(factor)
+    assert len(roots) == len(set(roots))
+    assert set(roots) == textbook_roots(factor)
+
+
 def test_root_counts():
     assert len(factor_roots(("U", 3))) == 6
     assert len(factor_roots(("SO", 2))) == 0
@@ -464,6 +500,20 @@ def test_invariant_poincare_rejects_virtual_characters():
     chi = Character(1, {(0,): -1})
     with pytest.raises(DomainError):
         invariant_poincare(CompactGroupSpec((("U", 1),)), chi)
+
+
+@pytest.mark.parametrize("factors", [(("U", 2.0), ("SO", True)), (("Sp", "1"),)])
+def test_group_spec_rejects_non_int_sizes(factors):
+    with pytest.raises(ValueError, match="bad group factor"):
+        CompactGroupSpec(factors)
+
+
+@pytest.mark.parametrize("terms", [{(0.7,): 1.9}, {(0,): 1.0}, {(True,): 1}, {(0,): True}])
+def test_character_rejects_non_int_data(terms):
+    with pytest.raises(DomainError, match="must be ints"):
+        Character(1, terms)
+    with pytest.raises(ValueError, match="nonnegative int"):
+        Character(1.0, {})
 
 
 def test_group_spec_slices():

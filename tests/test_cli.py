@@ -1,5 +1,7 @@
 """Command line behavior: payload shapes, exit codes, self-verification."""
 
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +13,9 @@ import pytest
 
 from cohomreps import Family, __version__, checks, enumerate_reps, text_form
 from cohomreps.cli import main
+from cohomreps.reps import FAMILIES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -89,6 +94,42 @@ def test_enumerate_tsv_rows_are_the_reps(capsys):
                 lines.append("\t".join(cells))
             assert code == 0
             assert out == "\n".join(lines) + "\n", f"{kind}({p},{q})"
+
+
+def cold_pools():
+    """The cold-enum and cold-oracle operations of the benchmark."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [entry.split() for entry in workloads.COLD_ENUM + workloads.COLD_ORACLE]
+
+
+# The digest of the exit codes and outputs below, recorded before the Levi
+# modules and the roots were derived from the standard weights; it changes
+# when an output or one of the pools does.
+CLI_DIGEST = "b394c0b766fb50ca47dcbfe519318d17b236fe1ae445f89c6bc119f0a322a2ed"
+
+
+def test_cohomology_and_cold_pool_outputs_are_pinned(capsys):
+    def brackets(xs):
+        return "[" + ",".join(map(str, xs)) + "]"
+
+    argvs = []
+    for kind in FAMILIES:
+        for p, q in checks.signatures(5):
+            for rep in enumerate_reps(Family(kind, p, q)):
+                argv = ["cohomology", kind, str(p), str(q)]
+                argv += ["--lambda", brackets(rep.lam), "--mu", brackets(rep.mu)]
+                if rep.flag is not None:
+                    argv += ["--flag", str(rep.flag)]
+                argvs += [argv, argv + ["--closed-only"], argv + ["--format", "tsv"]]
+    argvs += cold_pools()
+    assert len(argvs) == 1270
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out = run(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == CLI_DIGEST
 
 
 def test_cohomology_trivial_u11(capsys):
@@ -185,12 +226,12 @@ def test_restrict_top_mode(capsys):
     "argv",
     [
         ("verify", "lemC", "--max-n", "6"),
-        ("verify", "gaussian", "--max-rank", "3"),
+        ("verify", "gaussian", "--max-pq", "3"),
         ("verify", "grassmannian", "--max-pq", "8"),
         ("verify", "t1intro", "--max-pq", "6"),
         ("verify", "isolation", "--max-pq", "6"),
-        ("verify", "all", "--max-n", "6", "--max-rank", "3", "--max-pq", "5"),
-        ("verify", "poincare", "--max-rank", "4"),
+        ("verify", "all", "--max-n", "6", "--max-pq", "5"),
+        ("verify", "poincare", "--max-pq", "4"),
     ],
 )
 def test_verify_passes(capsys, argv):
@@ -201,7 +242,7 @@ def test_verify_passes(capsys, argv):
 
 
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
-    monkeypatch.setitem(checks.CHECKS, "lemC", lambda scale: [("a", True), ("b", False)])
+    monkeypatch.setitem(checks.CHECKS, "lemC", (lambda scale: [("a", True), ("b", False)], 12))
     code, doc = run_json(capsys, "verify", "lemC", "--max-n", "2")
     assert code == 1
     assert doc["ok"] is False

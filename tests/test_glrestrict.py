@@ -172,6 +172,29 @@ def test_repka():
         repka_diagonal(F(1), F(1, 2))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: restrict_prediction([x, F(0)], 1),
+        lambda x: hyp_transfer(F(3), F(2), x),
+        lambda x: rel_threshold_met(F(2), F(3), x),
+        lambda x: repka_diagonal(x, F(1, 2)),
+    ],
+    ids=["restrict_prediction", "hyp_transfer", "rel_threshold_met", "repka_diagonal"],
+)
+@pytest.mark.parametrize("x", [0.1, "1/10", True])
+def test_rejects_inexact_inputs(call, x):
+    # Fraction(0.1) would be the nearest binary float, not 1/10
+    with pytest.raises(DomainError, match="is not an int or a Fraction"):
+        call(x)
+
+
+@pytest.mark.parametrize("args", [(True, 2), (1.0, 2), (1, 2.5), (1, True), (1, 2, 0.25)])
+def test_block_rejects_inexact_inputs(args):
+    with pytest.raises(DomainError, match="needs int sizes and a Fraction twist"):
+        GLBlock(*args)
+
+
 @settings(max_examples=150, deadline=None)
 @given(blocks_strategy())
 def test_t_matrix_negation_symmetry(blocks):

@@ -28,7 +28,7 @@ from cohomreps import (
     skew_box_set,
 )
 from cohomreps.checks import signatures
-from cohomreps.partitions import fits_in_box, length, weight
+from cohomreps.partitions import fits_in_box
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -72,12 +72,6 @@ class TestCanonical:
     def test_rejects_non_int_parts(self, parts):
         with pytest.raises(ValueError, match="integers"):
             canonical(parts)
-
-
-def test_weight_and_length():
-    assert weight((3, 1)) == 4
-    assert length((3, 1)) == 2
-    assert weight(()) == 0
 
 
 def test_conjugate_examples():

@@ -4,13 +4,19 @@ from math import comb
 
 import pytest
 
-from cohomreps import IntPoly, gaussian_binomial
+from cohomreps import DomainError, IntPoly, gaussian_binomial
 from cohomreps.polynomials import ONE, ZERO, grassmannian_poincare
 
 
 def test_trailing_zeros_dropped():
     assert IntPoly([1, 2, 0, 0]).coeffs == (1, 2)
     assert IntPoly([0, 0]).coeffs == ()
+
+
+@pytest.mark.parametrize("coeffs", [[1.9, 2.5], [1, 2.0], [True, 0], ["1"]])
+def test_rejects_non_int_coefficients(coeffs):
+    with pytest.raises(DomainError, match="must be ints"):
+        IntPoly(coeffs)
 
 
 def test_zero_behaviour():
@@ -70,6 +76,15 @@ def test_gaussian_small_values():
     assert gaussian_binomial(3, -1) == ZERO
 
 
+@pytest.mark.parametrize("n, k", [(4.5, 2), (4.0, 2), (4, 2.0), (True, 1)])
+def test_gaussian_rejects_non_ints(n, k):
+    gaussian_binomial(4, 2)
+    gaussian_binomial(1, 1)
+    # the equal int arguments are cached, and still the check runs
+    with pytest.raises(DomainError, match="needs ints"):
+        gaussian_binomial(n, k)
+
+
 def test_gaussian_counts_at_one():
     for n in range(9):
         for k in range(n + 1):
@@ -98,3 +113,6 @@ def test_grassmannian_poincare_known_spaces():
             assert poly.degree == a * b and poly.is_palindromic()
     with pytest.raises(ValueError):
         grassmannian_poincare(0, 3)
+    for a, b in [(True, 1), (2.0, 3), (1, 2.5)]:
+        with pytest.raises(ValueError, match="positive ints"):
+            grassmannian_poincare(a, b)

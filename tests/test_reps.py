@@ -1,9 +1,10 @@
 """Representation parameters, degrees and Poincare series."""
 
+from functools import lru_cache
+
 import pytest
 
 from cohomreps import (
-    Character,
     DomainError,
     Family,
     IntPoly,
@@ -11,6 +12,7 @@ from cohomreps import (
     NotOrthogonal,
     WrongFamily,
     admits_flag_zero,
+    block_tags,
     enumerate_partitions_in_box,
     enumerate_reps,
     full_cohomology,
@@ -106,6 +108,11 @@ class TestMakeRep:
     def test_sp_needs_flag(self):
         with pytest.raises(DomainError):
             make_rep(Family("Sp", 1, 1), (), (1,))
+
+    @pytest.mark.parametrize("flag", [True, False, 1.0, 0.0])
+    def test_sp_flag_must_be_an_int(self, flag):
+        with pytest.raises(DomainError, match="flag 0 or 1"):
+            make_rep(Family("Sp", 1, 1), (), (1,), flag=flag)
 
     def test_sp_flag_zero_needs_bottom_row_in_skew(self):
         # lam touches the bottom of the box, only flag 1 exists
@@ -220,16 +227,31 @@ def test_lp_character_dimensions():
 
 
 def test_lp_character_checks_the_module_dimension(monkeypatch):
-    build = reps.group_and_module
+    # standard weight lists that each lost a weight give U(2) x U(3) a
+    # module of dimension 2 * 1 * 2 * 2; the oracle runs on an empty cache
+    std = reps.standard_weights
+    monkeypatch.setattr(reps, "standard_weights", lambda factor: std(factor)[1:])
+    monkeypatch.setattr(reps, "_oracle_poincare", lru_cache(reps._oracle_poincare.__wrapped__))
+    rep = trivial_rep(Family("U", 2, 3))
+    with pytest.raises(InvariantViolation, match="dimension 4, its Levi blocks give 12"):
+        lp_character(rep)
+    with pytest.raises(InvariantViolation, match="dimension 4, its Levi blocks give 12"):
+        poincare_oracle(rep)
 
-    def drop_a_weight(tags):
-        group, chi = build(tags)
-        weights = [w for w, c in chi.terms.items() for _ in range(c)]
-        return group, Character.from_weights(chi.rank, weights[1:])
 
-    monkeypatch.setattr(reps, "group_and_module", drop_a_weight)
-    with pytest.raises(InvariantViolation, match="dimension 11"):
-        lp_character(trivial_rep(Family("U", 2, 3)))
+def test_mirror_blocks_run_the_engine_once(monkeypatch):
+    calls = []
+
+    def engine(group, chi):
+        calls.append(group.factors)
+        return IntPoly([1])
+
+    monkeypatch.setattr(reps, "_oracle_poincare", lru_cache(reps._oracle_poincare.__wrapped__))
+    monkeypatch.setattr(reps, "invariant_poincare", engine)
+    first, second = trivial_rep(Family("Sp", 2, 4)), trivial_rep(Family("Sp", 4, 2))
+    assert (block_tags(first), block_tags(second)) == ((("quat", 2, 4),), (("quat", 4, 2),))
+    assert poincare_oracle(first) == poincare_oracle(second) == IntPoly([1])
+    assert calls == [(("Sp", 2), ("Sp", 4))]
 
 
 class TestPoincare:
