@@ -29,9 +29,9 @@ _EXPORTS = {
     "is_orthogonal orthogonal_decomposition orthogonal_partitions parse_partition "
     "rectangle_decomposition skew_box_set",
     "polynomials": "IntPoly gaussian_binomial",
-    "reps": "CohRep Family admits_flag_zero block_tags enumerate_reps full_cohomology "
-    "group_and_module hodge_type lp_character make_rep poincare_closed poincare_oracle r_G "
-    "text_form trivial_rep",
+    "reps": "CohRep Family admits_flag_zero block_tags count_reps enumerate_reps full_cohomology "
+    "group_and_module hodge_type iter_reps lp_character make_rep poincare_closed poincare_oracle "
+    "r_G text_form trivial_rep",
 }
 
 _MODULE_OF = {

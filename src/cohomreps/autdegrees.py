@@ -24,8 +24,16 @@ CONDITIONAL_NOTE = (
 )
 
 
+def _require_ints(names: str, *values) -> None:
+    """DomainError unless every value is an int; bools are not."""
+    for name, x in zip(names.split(), values):
+        if type(x) is not int:
+            raise DomainError(f"{name} must be an integer, got {x!r}")
+
+
 def N(b: int, n: int, p: int) -> int:
     """Largest defect sum over b equal groups of columns, closed form."""
+    _require_ints("b n p", b, n, p)
     if b < 1 or n < 1:
         raise DomainError(f"need b, n >= 1, got b={b} n={n}")
     if n % b:
@@ -43,6 +51,7 @@ def lemC_bruteforce(a: int, b: int, p: int):
     Returns (maximum, parity_uniform) where the flag records whether every
     achievable value of the sum has the same parity.
     """
+    _require_ints("a b p", a, b, p)
     if a < 0 or b < 1:
         raise DomainError(f"need a >= 0 and b >= 1, got a={a} b={b}")
     if p < 0 or p > a * b:
@@ -87,6 +96,7 @@ def degree_support(n: int, p: int, q: int) -> DegreeSet:
     parity-uniform; the DegreeSet keeps the middle dimension around so
     callers can check symmetry or parity themselves.
     """
+    _require_ints("n p q", n, p, q)
     if p + q != n:
         raise SignatureMismatch(f"p + q = {p + q} does not match n = {n}")
     if not 1 <= p <= q:

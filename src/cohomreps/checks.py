@@ -57,6 +57,17 @@ def sweep_grassmannian(max_pq: int):
             yield f"real {a}x{b}", invariant_poincare(group, chi) == grassmannian_poincare(a, b)
 
 
+def sweep_count(max_pq: int):
+    """The dynamic-programming count against the enumeration, on every U, O
+    and Sp group."""
+    from .reps import FAMILIES, Family, count_reps, enumerate_reps
+
+    for kind in FAMILIES:
+        for p, q in signatures(max_pq):
+            fam = Family(kind, p, q)
+            yield f"{kind}({p},{q})", count_reps(fam) == len(enumerate_reps(fam))
+
+
 def sweep_poincare(max_pq: int):
     """The closed Poincare product against the oracle, on every U, O and Sp rep."""
     from .reps import FAMILIES, Family, enumerate_reps, poincare_closed, poincare_oracle, text_form
@@ -97,6 +108,7 @@ def sweep_isolation(max_pq: int):
 # for the others.
 CHECKS = {
     "lemC": (sweep_lemC, 12),
+    "count": (sweep_count, 10),
     "gaussian": (sweep_gaussian, 4),
     "grassmannian": (sweep_grassmannian, 9),
     "poincare": (sweep_poincare, 4),

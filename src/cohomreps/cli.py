@@ -15,17 +15,19 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
-from .errors import CohomrepsError
+from .errors import CohomrepsError, InvariantViolation
 from .partitions import parse_partition
 from .reps import (
+    BracketNames,
     Family,
     block_tags,
-    bracket_names,
-    enumerate_reps,
+    count_reps,
     hodge_type,
+    iter_reps,
     make_rep,
     poincare_closed,
     poincare_oracle,
@@ -157,16 +159,49 @@ def _emit(payload, fmt) -> None:
 
 
 def _cmd_enumerate(args) -> int:
-    reps = enumerate_reps(Family(args.family, args.p, args.q))
+    """Write the document of every rep of the group, its rows streamed.
+
+    The count comes first and is computed without building any rep, so the
+    reps come from one uncached generator and only one chunk of rows is
+    held at a time; an oversized group is refused before any output.
+    """
+    fam = Family(args.family, args.p, args.q)
+    reps = iter_reps(fam)
+    count = count_reps(fam)
     if args.format == "json":
-        print(_enumerate_json(args, reps))
-        return 0
-    lines = ["text\tlambda\tmu\tflag\tR"]
+        head, tail = _enumerate_frame(args, count)
+        _write_rows(head, _json_rows(reps), ",\n", tail, count)
+    else:
+        _write_rows("text\tlambda\tmu\tflag\tR\n", _tsv_rows(reps), "\n", "\n", count)
+    return 0
+
+
+# Rows per write of a streamed enumerate.
+_CHUNK = 2048
+
+
+def _write_rows(head: str, rows, sep: str, tail: str, count: int) -> None:
+    """Write head, the rows joined by sep, then tail, _CHUNK rows at a
+    time; InvariantViolation is raised before the tail when the number of
+    rows is not count."""
+    out = sys.stdout  # looked up now, so that a redirected stdout gets the rows
+    out.write(head)
+    written = 0
+    while chunk := list(islice(rows, _CHUNK)):
+        if written:
+            out.write(sep)
+        out.write(sep.join(chunk))
+        written += len(chunk)
+    if written != count:
+        raise InvariantViolation(f"enumerate wrote {written} rows for a count of {count}")
+    out.write(tail)
+
+
+def _tsv_rows(reps):
+    names = BracketNames()
     for rep in reps:
         flag = "-" if rep.flag is None else rep.flag
-        lines.append(f"{text_form(rep)}\t{list(rep.lam)}\t{list(rep.mu)}\t{flag}\t{rep.R}")
-    print("\n".join(lines))
-    return 0
+        yield f"{text_form(rep, names)}\t{list(rep.lam)}\t{list(rep.mu)}\t{flag}\t{rep.R}"
 
 
 def _json_list(xs, pad: str) -> str:
@@ -188,24 +223,27 @@ class _RowLists(dict):
         return text
 
 
-def _enumerate_json(args, reps) -> str:
-    """The exact text of json.dumps(payload, sort_keys=True, indent=2) for
-    the enumerate payload.
+def _enumerate_frame(args, count: int):
+    """The text of json.dumps(payload, sort_keys=True, indent=2) for the
+    enumerate payload before its first row and after its last.
 
     With an indent, json falls back to its pure-Python encoder, which is
-    most of the time of a large enumerate. Only the header goes through
-    json here; each row is written straight from its rep in the fixed
-    layout json gives it, from list and partition strings formatted once
-    per distinct value.
+    most of the time of a large enumerate. Only this frame goes through
+    json; _json_rows writes each row in the fixed layout json gives it.
     """
     inputs = {"family": args.family, "p": args.p, "q": args.q}
-    payload = _payload("enumerate", inputs, {"count": len(reps), "reps": []})
+    payload = _payload("enumerate", inputs, {"count": count, "reps": []})
     head, tail = json.dumps(payload, sort_keys=True, indent=2).split('"reps": []')
-    lists, names = _RowLists(), bracket_names(reps)
-    rows = []
+    return f'{head}"reps": [\n', f"\n  ]{tail}\n"
+
+
+def _json_rows(reps):
+    """Each rep as its row of the enumerate document, from list and
+    partition strings formatted once per distinct value."""
+    lists, names = _RowLists(), BracketNames()
     for rep in reps:
         text = text_form(rep, names)
-        rows.append(
+        yield (
             "    {\n"
             f'      "R": {rep.R},\n'
             f'      "flag": {"null" if rep.flag is None else rep.flag},\n'
@@ -215,8 +253,6 @@ def _enumerate_json(args, reps) -> str:
             f'      "text": {encode_basestring_ascii(text)}\n'
             "    }"
         )
-    body = ",\n".join(rows)  # every group has at least its trivial rep
-    return f'{head}"reps": [\n{body}\n  ]{tail}'
 
 
 def _cmd_cohomology(args) -> int:

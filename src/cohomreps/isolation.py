@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .errors import DomainError, WrongFamily
-from .reps import CohRep, Family, admits_flag_zero, bracket_names, enumerate_reps
+from .reps import BracketNames, CohRep, Family, admits_flag_zero, enumerate_reps
 
 
 class IsolationVerdict(NamedTuple):
@@ -37,10 +37,8 @@ def _index(kind: str, p: int, q: int):
     The quaternionic family searches the unitary index, which holds the
     same pairs.
     """
-    index = {}
-    reps = enumerate_reps(Family(kind, p, q))
-    names = bracket_names(reps)
-    for rep in reps:
+    index, names = {}, BracketNames()
+    for rep in enumerate_reps(Family(kind, p, q)):
         lam = names[rep.lam]
         body = lam if kind == "O" else f"{lam}|{names[rep.mu]}"
         rects = rep.skew.rectangles

@@ -17,6 +17,7 @@ exterior powers and Weyl integration that never looks at the factorization.
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -150,24 +151,120 @@ def trivial_rep(family: Family) -> CohRep:
     return make_rep(family, (), full, flag=0 if family.kind == "Sp" else None)
 
 
-@lru_cache(maxsize=None)  # one entry per group; the isolation indexes hold its reps anyway
-def _enumerate_cached(kind: str, p: int, q: int):
-    fam = Family(kind, p, q)
+# Enumeration refuses a group with more parameters than this: U(7,7) has
+# 335 682, Sp(7,7) and O(14,14) 437 880, U(8,8) 2 534 136. A cached rep
+# takes about 0.5 kB (enumerate_reps of U(7,7) peaks at 183 MB), so the
+# bound keeps a cached group under about half a gigabyte.
+MAX_REPS = 1_000_000
+
+
+def _pair_states(p: int, q: int) -> list:
+    """Compatible pairs of the p x q box by their last row: entry [lo][hi]
+    counts the pairs with lam_p = lo and mu_p = hi.
+
+    Rows follow the rule of compatible_pairs, from a virtual row (q, q):
+    row r is empty (mu_r = lam_r), a new rectangle (lam_r < mu_r <=
+    lam_(r-1)) or the rectangle above continued (mu_r = mu_(r-1) when
+    lam_r = lam_(r-1) < mu_(r-1)). So a row (lo, hi) follows every row whose
+    lam is at least hi, and also the row (lo, hi) itself when lo < hi.
+    """
+    states = [[0] * (q + 1) for _ in range(q + 1)]
+    states[q][q] = 1
+    for _ in range(p):
+        at_least, total = [0] * (q + 1), 0
+        for lo in range(q, -1, -1):
+            total += sum(states[lo])
+            at_least[lo] = total
+        states = [
+            [0] * lo + [at_least[lo]]
+            + [at_least[hi] + states[lo][hi] for hi in range(lo + 1, q + 1)]
+            for lo in range(q + 1)
+        ]
+    return states
+
+
+def _orthogonal_count(p: int, q: int) -> int:
+    """The orthogonal lam of the p x q box, counted from the middle rows out.
+
+    A state (lo, up) is lam of a row in the lower half and of its mirror
+    row, so lo <= up, lo + up <= q and that row of the skew is the interval
+    (lo, q - up]; the upper half mirrors the lower. The middle row (p odd)
+    has lo = up. The rows of the middle pair (p even) are compatible by the
+    rule of _skew when lo = up or 2 up >= q. One step out, rows (lo, q - up]
+    and (lo', q - up'] with lo' <= lo and up <= up' are compatible when one
+    is empty, when they coincide or when lo >= q - up'. Under the bounds an
+    empty upper row implies the last condition, so (lo, up) is followed by
+    every state with up' >= max(up, q - lo), and by itself when its row is
+    not empty.
+    """
+    states = [(lo, up) for lo in range(q // 2 + 1) for up in range(lo, q - lo + 1)]
+    counts = [int(lo == up or p % 2 == 0 and 2 * up >= q) for lo, up in states]
+    for _ in range((p - 1) // 2):
+        reach = [0] * (q + 1)
+        for (lo, up), n in zip(states, counts):
+            for u in range(max(up, q - lo), q + 1):
+                reach[u] += n
+        counts = [reach[up] + (n if lo + up < q else 0) for (lo, up), n in zip(states, counts)]
+    return sum(counts)
+
+
+def count_reps(family: Family) -> int:
+    """The number of representations of the family, without building any:
+    a dynamic program over the rows of the box, polynomial in p and q."""
+    kind, p, q = family
     if kind == "O":
-        return tuple(
-            _rep(fam, lam, mu, None, orth.skew, orth)
-            for lam, mu, orth in orthogonal_partitions(p, q)
+        return _orthogonal_count(p, q)
+    states = _pair_states(p, q)
+    count = sum(map(sum, states))
+    # in Sp each pair with lam_p = 0 < mu_p also carries flag 0
+    return count + sum(states[0][1:]) if kind == "Sp" else count
+
+
+def iter_reps(family: Family):
+    """The representations of the family one at a time, ordered by (lam,
+    mu, flag); none is kept.
+
+    A family with more than MAX_REPS is refused with DomainError at the
+    call, before any representation is built.
+    """
+    count = count_reps(family)
+    if count > MAX_REPS:
+        kind, p, q = family
+        raise DomainError(
+            f"{kind}({p},{q}) has {count} representations, more than the "
+            f"{MAX_REPS} that enumeration builds"
         )
-    reps = []
+    return _generate(family)
+
+
+def _generate(fam: Family):
+    kind, p, q = fam
+    if kind == "O":
+        for lam, mu, orth in orthogonal_partitions(p, q):
+            yield _rep(fam, lam, mu, None, orth.skew, orth)
+        return
     for lam, mu, skew in compatible_pairs(p, q):
         if kind == "Sp" and admits_flag_zero(lam, mu, p):
-            reps.append(_rep(fam, lam, mu, 0, skew))
-        reps.append(_rep(fam, lam, mu, 1 if kind == "Sp" else None, skew))
-    return tuple(reps)
+            yield _rep(fam, lam, mu, 0, skew)
+        yield _rep(fam, lam, mu, 1 if kind == "Sp" else None, skew)
+
+
+@lru_cache(maxsize=None)  # one entry per group; the isolation indexes hold its reps anyway
+def _enumerate_cached(kind: str, p: int, q: int):
+    # Every rep is kept, so the cyclic collector would walk all earlier
+    # ones again at each older-generation pass; it is paused meanwhile.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return tuple(iter_reps(Family(kind, p, q)))
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def enumerate_reps(family: Family):
-    """All representations of the family, ordered by (lam, mu, flag)."""
+    """All representations of the family, ordered by (lam, mu, flag): the
+    reps of iter_reps as a tuple, cached per group."""
     return _enumerate_cached(family.kind, family.p, family.q)
 
 
@@ -299,18 +396,21 @@ def full_cohomology(rep: CohRep):
     return tuple((deg, c) for deg, c in enumerate(poincare_oracle(rep).coeffs) if c)
 
 
-def bracket_names(reps) -> dict:
-    """The bracket form of every partition of the reps, each formatted once."""
-    parts = {rep.lam for rep in reps}.union(rep.mu for rep in reps)
-    return {lam: brackets(lam) for lam in parts}
+class BracketNames(dict):
+    """The bracket form of each partition looked up, formatted once; the
+    partitions are trusted to be canonical."""
+
+    def __missing__(self, lam):
+        text = self[lam] = brackets(lam)
+        return text
 
 
 def text_form(rep: CohRep, names=None) -> str:
     """The rep as text, e.g. U(2,2) A[[1]|[2,1]]; a caller formatting many
-    reps passes their bracket_names."""
+    reps passes one BracketNames for all of them."""
     # lam and mu were validated when the rep was built
     if names is None:
-        names = {rep.lam: brackets(rep.lam), rep.mu: brackets(rep.mu)}
+        names = BracketNames()
     kind, p, q = rep.family
     head = f"{kind}({p},{q})"
     if kind == "O":

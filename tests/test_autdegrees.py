@@ -37,6 +37,11 @@ class TestDefectFormula:
         with pytest.raises(DomainError):
             N(0, 4, 1)
 
+    @pytest.mark.parametrize("args", [(2.0, 4.0, 1.0), (2, 4, True), (2, 4.0, 1)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(DomainError, match="must be an integer"):
+            N(*args)
+
     def test_matches_brute_force_spot(self):
         assert run("lemC", 6)["mismatches"] == []
 
@@ -46,6 +51,12 @@ def test_brute_force_small():
     assert lemC_bruteforce(1, 3, 2) == (0, True)
     with pytest.raises(DomainError):
         lemC_bruteforce(2, 2, 5)
+
+
+@pytest.mark.parametrize("args", [(2, 2, 1.0), (2, True, 1), (2.0, 2, 1)])
+def test_brute_force_rejects_non_integers(args):
+    with pytest.raises(DomainError, match="must be an integer"):
+        lemC_bruteforce(*args)
 
 
 class TestDegreeSupport:
@@ -75,6 +86,11 @@ class TestDegreeSupport:
     def test_signature_must_sum(self):
         with pytest.raises(SignatureMismatch):
             degree_support(5, 2, 2)
+
+    @pytest.mark.parametrize("args", [(4.0, 2.0, 2.0), (4, 2, 2.0), (2, True, True)])
+    def test_rejects_non_integers(self, args):
+        with pytest.raises(DomainError, match="must be an integer"):
+            degree_support(*args)
 
     def test_p_at_most_q(self):
         with pytest.raises(DomainError):

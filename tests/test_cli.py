@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from cohomreps import Family, __version__, checks, enumerate_reps, text_form
+from cohomreps import Family, __version__, checks, count_reps, enumerate_reps, text_form
 from cohomreps.cli import main
 from cohomreps.reps import FAMILIES
 
@@ -43,8 +43,9 @@ def test_enumerate_u11(capsys):
 @pytest.mark.parametrize("kind", ["U", "O", "Sp"])
 def test_enumerate_json_is_json_dumps(capsys, kind):
     # enumerate writes its rows itself; the bytes must be those of json.dumps
-    # and the rows those of the reps
-    for p, q in checks.signatures(8):
+    # and the rows those of the reps. U(5,5) and Sp(5,5) have rows enough for
+    # several chunks of the stream.
+    for p, q in [*checks.signatures(8), (5, 5)]:
         code, out = run(capsys, "enumerate", kind, str(p), str(q))
         assert code == 0
         doc = json.loads(out)
@@ -62,6 +63,44 @@ def test_enumerate_json_is_json_dumps(capsys, kind):
             }
             for rep in reps
         ]
+
+
+def max_rss_kb(*argv):
+    """Peak RSS of a fresh CLI process whose output goes to devnull."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "cohomreps.cli", *argv]
+    with subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=env) as proc:
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+    assert proc.returncode == 0
+    return usage.ru_maxrss
+
+
+def test_enumerate_memory_does_not_grow_with_the_output():
+    # 44 910 rows, 17 MB of JSON, against the 3 rows of U(1,1)
+    assert max_rss_kb("enumerate", "U", "6", "6") - max_rss_kb("enumerate", "U", "1", "1") < 8 * 1024
+
+
+@pytest.mark.parametrize(
+    "argv, family",
+    [
+        (("enumerate", "U", "8", "8"), ("U", 8, 8)),
+        (("enumerate", "U", "20", "20"), ("U", 20, 20)),
+        (("isolate", "U", "20", "20", "--lambda", "[]", "--mu", "[1]"), ("U", 20, 20)),
+    ],
+)
+def test_oversized_group_exits_3_before_any_output(argv, family):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cohomreps.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+    assert time.monotonic() - t0 < 5
+    assert proc.returncode == 3
+    doc = json.loads(proc.stdout)
+    assert proc.stdout.decode() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert doc["error"]["type"] == "DomainError"
+    assert str(count_reps(Family(*family))) in doc["error"]["message"]
 
 
 def test_enumerate_tsv(capsys):
@@ -232,6 +271,7 @@ def test_restrict_top_mode(capsys):
         ("verify", "isolation", "--max-pq", "6"),
         ("verify", "all", "--max-n", "6", "--max-pq", "5"),
         ("verify", "poincare", "--max-pq", "4"),
+        ("verify", "count", "--max-pq", "6"),
     ],
 )
 def test_verify_passes(capsys, argv):
@@ -257,10 +297,12 @@ def test_verify_fails_a_check_with_no_cases(capsys):
     assert doc["checks"] == [{"name": "t1intro", "scale": 1, "cases": 0, "mismatches": []}]
 
 
-def test_closed_stdout_is_not_a_traceback():
+def close_stdout_early(*argv):
+    """Exit code and stderr of a CLI process whose reader closes stdout
+    after 10 bytes."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    argv = [sys.executable, "-m", "cohomreps.cli", "enumerate", "U", "4", "4"]
+    argv = [sys.executable, "-m", "cohomreps.cli", *argv]
     with subprocess.Popen(
         argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
     ) as proc:
@@ -269,9 +311,16 @@ def test_closed_stdout_is_not_a_traceback():
         assert len(proc.stdout.read(10)) == 10
         proc.stdout.close()
         stderr = proc.stderr.read()
-        assert proc.wait(timeout=60) == 1
-    assert b"Traceback" not in stderr
-    assert stderr == b""
+        return proc.wait(timeout=60), stderr
+
+
+def test_closed_stdout_is_not_a_traceback():
+    assert close_stdout_early("enumerate", "U", "4", "4") == (1, b"")
+
+
+def test_closed_stdout_mid_stream_is_not_a_traceback():
+    # U(6,6) is written in many chunks, so the pipe closes between writes
+    assert close_stdout_early("enumerate", "U", "6", "6") == (1, b"")
 
 
 # U(7,7) is refused before its million targets are multiplied out, U(9,9)

@@ -24,13 +24,13 @@ PUBLIC = [
     "PalindromeViolation", "Rectangle", "RepkaResult", "SignatureMismatch",
     "SkewDecomposition", "WrongFamily", "admits_flag_zero", "autdegrees",
     "block_tags", "canonical", "characters", "compatible_pairs", "complement",
-    "conjugate", "contains", "degree_support", "enumerate_partitions_in_box",
+    "conjugate", "contains", "count_reps", "degree_support", "enumerate_partitions_in_box",
     "enumerate_reps", "errors", "factor_roots", "format_partition",
     "full_cohomology", "gaussian_binomial", "glrestrict", "group_and_module",
     "hodge_type", "hyp_chain_epsilon", "hyp_transfer", "invariant_poincare",
     "is_compatible", "is_orthogonal", "isolated_O", "isolated_Sp",
     "isolated_U_explicit", "isolated_U_search", "isolated_d0", "isolation",
-    "lemC_bruteforce", "li_coverage", "lp_character", "make_rep",
+    "iter_reps", "lemC_bruteforce", "li_coverage", "lp_character", "make_rep",
     "orthogonal_decomposition", "orthogonal_partitions", "parse_glrep",
     "parse_partition", "partitions", "poincare_closed", "poincare_oracle",
     "polynomials", "prediction_modes_disagree", "r_G",
@@ -71,7 +71,7 @@ def test_no_module_imports_dataclasses():
 
 
 def test_public_names_resolve_lazily():
-    assert len(PUBLIC) == 88
+    assert len(PUBLIC) == 90
     assert cohomreps.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(cohomreps))
     for name in PUBLIC:

@@ -1,5 +1,6 @@
 """Representation parameters, degrees and Poincare series."""
 
+import gc
 from functools import lru_cache
 
 import pytest
@@ -13,11 +14,13 @@ from cohomreps import (
     WrongFamily,
     admits_flag_zero,
     block_tags,
+    count_reps,
     enumerate_partitions_in_box,
     enumerate_reps,
     full_cohomology,
     hodge_type,
     is_compatible,
+    iter_reps,
     lp_character,
     make_rep,
     poincare_closed,
@@ -27,7 +30,7 @@ from cohomreps import (
     trivial_rep,
 )
 from cohomreps import group_and_module, invariant_poincare, partitions, reps
-from cohomreps.checks import signatures
+from cohomreps.checks import run, signatures
 from cohomreps.polynomials import grassmannian_poincare
 from cohomreps.reps import FAMILIES
 
@@ -198,6 +201,75 @@ def test_orthogonal_enumeration_skips_the_box_scan(monkeypatch):
     monkeypatch.setattr(partitions, "enumerate_partitions_in_box", scan)
     for p, q in [(1, 1), (3, 4), (6, 6)]:
         assert reps._enumerate_cached.__wrapped__("O", p, q)
+
+
+# Counts from the dynamic program alone, at sizes that enumeration refuses
+# or takes seconds over.
+@pytest.mark.parametrize(
+    "kind, p, q, count",
+    [
+        ("U", 7, 7, 335_682),
+        ("Sp", 7, 7, 437_880),
+        ("U", 8, 8, 2_534_136),
+        ("O", 14, 14, 437_880),
+        ("O", 16, 16, 3_302_816),
+        ("U", 10, 10, 147_530_650),
+        ("U", 20, 20, 121_308_311_024_220_006),
+    ],
+)
+def test_count_reps_pins(kind, p, q, count):
+    assert count_reps(Family(kind, p, q)) == count
+
+
+def test_count_check_matches_enumeration():
+    assert run("count", 10) == {"name": "count", "scale": 10, "cases": 135, "mismatches": []}
+
+
+def test_iter_reps_is_the_uncached_enumeration():
+    fam = Family("Sp", 3, 4)
+    first = iter_reps(fam)
+    assert first is not iter_reps(fam)
+    assert tuple(first) == enumerate_reps(fam)
+    assert next(first, None) is None
+
+
+@pytest.mark.parametrize("kind, p, q", [("U", 8, 8), ("Sp", 8, 8), ("O", 16, 16), ("U", 20, 20)])
+def test_enumeration_past_the_guard_is_refused_at_the_call(kind, p, q):
+    fam = Family(kind, p, q)
+    count = count_reps(fam)
+    assert count > reps.MAX_REPS == 1_000_000
+    with pytest.raises(DomainError, match=f"^{kind}\\({p},{q}\\) has {count} representations"):
+        iter_reps(fam)
+    with pytest.raises(DomainError, match=str(count)):
+        enumerate_reps(fam)
+
+
+def test_largest_groups_under_the_guard_are_not_refused():
+    # iter_reps refuses at the call, so a generator back means it passed
+    for fam in [Family("U", 7, 7), Family("Sp", 7, 7), Family("O", 14, 14)]:
+        assert count_reps(fam) <= reps.MAX_REPS
+        iter_reps(fam).close()
+
+
+def test_enumeration_pauses_the_collector_and_restores_it(monkeypatch):
+    seen = []
+
+    def failing(fam):
+        seen.append(gc.isenabled())
+        raise RuntimeError("enumeration failed")
+
+    assert gc.isenabled()
+    monkeypatch.setattr(reps, "iter_reps", failing)
+    with pytest.raises(RuntimeError):
+        reps._enumerate_cached.__wrapped__("U", 2, 2)
+    assert seen == [False] and gc.isenabled()
+    monkeypatch.undo()
+    gc.disable()
+    try:
+        assert len(reps._enumerate_cached.__wrapped__("U", 2, 2)) == 18
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_enumeration_is_sorted_and_flag_zero_first():
