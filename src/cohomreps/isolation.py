@@ -15,7 +15,7 @@ the skew shape; it is implemented separately so the two can be compared.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from .errors import DomainError, WrongFamily
@@ -30,23 +30,27 @@ class IsolationVerdict(NamedTuple):
 
 @lru_cache(maxsize=None)  # one entry per group, like the unbounded _enumerate_cached
 def _index(kind: str, p: int, q: int):
-    """Map each skew cell bitmask to the parameters of the group carrying it.
-
-    Entries are (label, last_rectangle, admits_flag_zero): the label is the
-    witness string, and the last rectangle is None for the empty skew shape.
-    The quaternionic family searches the unitary index, which holds the
-    same pairs.
-    """
+    """Map each skew cell bitmask to the sorted witness labels of the
+    group's parameters carrying it; the quaternionic family searches the
+    unitary index, which holds the same pairs."""
     index, names = {}, BracketNames()
     for rep in enumerate_reps(Family(kind, p, q)):
         lam = names[rep.lam]
         body = lam if kind == "O" else f"{lam}|{names[rep.mu]}"
-        rects = rep.skew.rectangles
-        last = rects[-1] if rects else None
-        index.setdefault(rep.skew.cells, []).append(
-            (f"A[{body}]", last, admits_flag_zero(rep.lam, rep.mu, p))
-        )
-    return {k: tuple(v) for k, v in index.items()}
+        index.setdefault(rep.skew.cells, []).append(f"A[{body}]")
+    return {k: tuple(sorted(v)) for k, v in index.items()}
+
+
+@lru_cache(maxsize=None)  # one entry per box, built by its first flag-0 search
+def _flag_zero_index(p: int, q: int):
+    """Map each last rectangle to a map from the cell bitmasks of the pairs
+    admitting flag 0 that end in it to their sorted flag-0 labels."""
+    index, names = {}, BracketNames()
+    for rep in enumerate_reps(Family("U", p, q)):
+        if admits_flag_zero(rep.lam, rep.mu, p):
+            runs = index.setdefault(rep.skew.rectangles[-1], {})
+            runs.setdefault(rep.skew.cells, []).append(f"A[{names[rep.lam]}|{names[rep.mu]}]_0")
+    return {block: {k: tuple(sorted(v)) for k, v in runs.items()} for block, runs in index.items()}
 
 
 # Unbounded like _index: one entry per box and move count, a tuple of pq or
@@ -74,28 +78,17 @@ def _search(rep: CohRep, grow_only=False, block=None, extra=()) -> IsolationVerd
     """
     kind, p, q = rep.family.kind, rep.family.p, rep.family.q
     orth = kind == "O"
-    index = _index("O" if orth else "U", p, q)
+    index = _index("O" if orth else "U", p, q) if block is None else _flag_zero_index(p, q)[block]
     neighbors = _neighbors(rep.skew.cells, p, q, 2 if orth else 1, grow_only)
-    found = [entries for entries in map(index.get, neighbors) if entries]
-    if block is None:
-        witnesses = {label for entries in found for label, _, _ in entries}
-    else:
-        witnesses = {
-            label + "_0"
-            for entries in found
-            for label, last, admits in entries
-            if admits and last == block
-        }
-    wits = tuple(sorted(witnesses.union(extra)))
+    # A label belongs to one bitmask, so the runs of distinct neighbors are
+    # disjoint, and sorting their concatenation merges the sorted runs.
+    wits = tuple(sorted(chain(extra, *filter(None, map(index.get, neighbors)))))
     return IsolationVerdict(not wits, wits, "search")
 
 
 def _require(rep: CohRep, kind: str) -> None:
     if rep.family.kind != kind:
-        raise WrongFamily(
-            f"this criterion applies to the {kind} family, "
-            f"not {rep.family.kind}"
-        )
+        raise WrongFamily(f"this criterion applies to the {kind} family, not {rep.family.kind}")
 
 
 def isolated_U_search(rep: CohRep) -> IsolationVerdict:
@@ -184,8 +177,8 @@ def t1intro_inequalities(p: int, q: int, r: int) -> bool:
     The partition (r, ..., r) with p rows must fit alongside its complement,
     which is exactly the condition 2r <= q.
     """
+    if any(type(x) is not int for x in (p, q, r)):  # bools are not
+        raise DomainError(f"p, q and r must be integers, got p={p!r} q={q!r} r={r!r}")
     if p < 1 or q < 1 or r < 0 or 2 * r > q:
-        raise DomainError(
-            f"need p, q >= 1 and 0 <= 2r <= q, got p={p} q={q} r={r}"
-        )
+        raise DomainError(f"need p, q >= 1 and 0 <= 2r <= q, got p={p} q={q} r={r}")
     return p >= 2 and q >= 2 * r + 2 and p + q >= 2 * r + 5

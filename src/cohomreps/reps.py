@@ -22,7 +22,6 @@ from collections import namedtuple
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .characters import Character, CompactGroupSpec, invariant_poincare, standard_weights
 from .errors import DomainError, InvariantViolation, NotOrthogonal, WrongFamily
 from .partitions import (
     OrthogonalDecomposition,
@@ -319,6 +318,8 @@ def group_and_module(tags):
     block on E (x) F* and its dual. InvariantViolation is raised when the
     dimension differs from the one the blocks give.
     """
+    from .characters import Character, CompactGroupSpec, standard_weights
+
     factors = tuple((BLOCKS[style][0], n) for style, a, b in tags for n in (a, b))
     group = CompactGroupSpec(factors)
     weights = []
@@ -375,6 +376,8 @@ def poincare_closed(rep: CohRep) -> IntPoly:
 
 @lru_cache(maxsize=None)  # one short polynomial per module; 117 for p+q <= 8
 def _oracle_poincare(module) -> IntPoly:
+    from .characters import invariant_poincare
+
     group, chi = group_and_module(module)
     return invariant_poincare(group, chi)
 

@@ -189,8 +189,8 @@ def test_cohomology_closed_only_skips_oracle(capsys):
     assert code == 0
     assert doc["poincare_oracle"] is None
     assert doc["cohomology"][0] == [0, 1]
-    # the real central block SO(7) x SO(7) has a closed form; its SO(14)
-    # factor is past the oracle's half-denominator cap
+    # the real central block SO(7) x SO(7) has a closed form; the oracle's
+    # join on it is past JOIN_WORK_BUDGET
     code, doc = run_json(capsys, "cohomology", "O", "7", "7", "--closed-only")
     assert code == 0
     assert doc["levi_blocks"] == [["real", 7, 7]]

@@ -1,7 +1,9 @@
 """Isolation verdicts: searches, the closed-form corner test, and the
 degree-zero variant."""
 
+import hashlib
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -11,6 +13,7 @@ from cohomreps import (
     Family,
     IsolationVerdict,
     WrongFamily,
+    admits_flag_zero,
     enumerate_reps,
     isolated_O,
     isolated_Sp,
@@ -19,10 +22,13 @@ from cohomreps import (
     isolated_d0,
     make_rep,
     t1intro_inequalities,
+    text_form,
     trivial_rep,
 )
+from cohomreps import cli
 from cohomreps.checks import run, signatures
-from cohomreps.isolation import _neighbors
+from cohomreps.isolation import _flag_zero_index, _index, _neighbors
+from cohomreps.reps import BracketNames
 
 
 class TestUnitarySearch:
@@ -228,6 +234,95 @@ def test_flip_neighbors_match_frozenset_variants(moves, grow_only):
                 assert flipped == expected, f"{rep!r}"
 
 
+@lru_cache(maxsize=None)
+def reference_index(kind, p, q):
+    """Each cell bitmask with (label, last rectangle, admits flag 0) per
+    parameter carrying it: the index layout before the sorted runs."""
+    index, names = {}, BracketNames()
+    for rep in enumerate_reps(Family(kind, p, q)):
+        lam = names[rep.lam]
+        body = lam if kind == "O" else f"{lam}|{names[rep.mu]}"
+        rects = rep.skew.rectangles
+        index.setdefault(rep.skew.cells, []).append(
+            (f"A[{body}]", rects[-1] if rects else None, admits_flag_zero(rep.lam, rep.mu, p))
+        )
+    return index
+
+
+def reference_search(rep, grow_only=False, block=None, extra=()):
+    """The set-based search over reference_index, the reference for _search."""
+    kind, p, q = rep.family.kind, rep.family.p, rep.family.q
+    orth = kind == "O"
+    index = reference_index("O" if orth else "U", p, q)
+    neighbors = _neighbors(rep.skew.cells, p, q, 2 if orth else 1, grow_only)
+    found = [entries for entries in map(index.get, neighbors) if entries]
+    if block is None:
+        witnesses = {label for entries in found for label, _, _ in entries}
+    else:
+        witnesses = {
+            label + "_0"
+            for entries in found
+            for label, last, admits in entries
+            if admits and last == block
+        }
+    wits = tuple(sorted(witnesses.union(extra)))
+    return IsolationVerdict(not wits, wits, "search")
+
+
+def reference_dual(rep):
+    if rep.family.kind != "Sp" or rep.flag == 1:
+        return reference_search(rep)
+    a, b = block = rep.skew.rectangles[-1]
+    conds = ()
+    if a + b < 3:
+        conds = (
+            f"the quaternionic block is {a}x{b}; isolation needs its side "
+            "lengths to sum to at least 3",
+        )
+    return reference_search(rep, block=block, extra=conds)
+
+
+DUAL = {"U": isolated_U_search, "O": isolated_O, "Sp": isolated_Sp}
+
+
+@pytest.mark.parametrize("kind", ["U", "O", "Sp"])
+def test_search_matches_the_set_based_reference(kind):
+    for p, q in signatures(7):
+        for rep in enumerate_reps(Family(kind, p, q)):
+            block = rep.skew.rectangles[-1] if rep.flag == 0 else None
+            assert DUAL[kind](rep) == reference_dual(rep), f"{rep!r}"
+            assert isolated_d0(rep) == reference_search(rep, grow_only=True, block=block), f"{rep!r}"
+
+
+def test_verdict_digest_is_pinned():
+    # Every verdict with p+q <= 8; the same hash over p+q <= 10 (75 152 reps)
+    # is a71dff76de1cef115a1c7c25174b6171a37e8d4096d04c3adbb71ce48c433740.
+    digest, count = hashlib.sha256(), 0
+    for kind in ("U", "O", "Sp"):
+        for n in range(2, 9):
+            for p in range(1, n):
+                for rep in enumerate_reps(Family(kind, p, n - p)):
+                    verdicts = (text_form(rep), DUAL[kind](rep), isolated_d0(rep))
+                    digest.update(repr(verdicts).encode())
+                    count += 1
+    assert count == 9412
+    assert digest.hexdigest() == "98c7821e979da35c31599e68dcb63d94c5b26330cbad54dbd1e01ccc8edc649e"
+
+
+def test_only_flag_zero_searches_build_the_flag_zero_map(capsys):
+    _index.cache_clear()  # so that building an index is seen too
+    _flag_zero_index.cache_clear()
+    assert cli.main(["isolate", "U", "3", "3", "--lambda", "[1]", "--mu", "[2,1]"]) == 0
+    for kind in ("U", "O", "Sp"):
+        for rep in enumerate_reps(Family(kind, 3, 3)):
+            if rep.flag != 0:
+                DUAL[kind](rep)
+                isolated_d0(rep)
+    assert _flag_zero_index.cache_info().currsize == 0
+    isolated_Sp(trivial_rep(Family("Sp", 3, 3)))
+    assert _flag_zero_index.cache_info().currsize == 1
+
+
 class TestInequalities:
     def test_values(self):
         assert t1intro_inequalities(2, 5, 1)
@@ -245,3 +340,8 @@ class TestInequalities:
             t1intro_inequalities(0, 3, 1)
         with pytest.raises(DomainError):
             t1intro_inequalities(2, 3, -1)
+
+    @pytest.mark.parametrize("args", [(2.0, 5, 1), (True, 5, 0), (3, 5, "1"), (2, 5.0, 1)])
+    def test_non_int_arguments_are_refused(self, args):
+        with pytest.raises(DomainError, match="must be integers"):
+            t1intro_inequalities(*args)

@@ -29,7 +29,7 @@ from cohomreps import (
     text_form,
     trivial_rep,
 )
-from cohomreps import group_and_module, invariant_poincare, partitions, reps
+from cohomreps import characters, group_and_module, invariant_poincare, partitions, reps
 from cohomreps.checks import run, signatures
 from cohomreps.polynomials import grassmannian_poincare
 from cohomreps.reps import FAMILIES
@@ -301,8 +301,8 @@ def test_lp_character_dimensions():
 def test_lp_character_checks_the_module_dimension(monkeypatch):
     # standard weight lists that each lost a weight give U(2) x U(3) a
     # module of dimension 2 * 1 * 2 * 2; the oracle runs on an empty cache
-    std = reps.standard_weights
-    monkeypatch.setattr(reps, "standard_weights", lambda factor: std(factor)[1:])
+    std = characters.standard_weights
+    monkeypatch.setattr(characters, "standard_weights", lambda factor: std(factor)[1:])
     monkeypatch.setattr(reps, "_oracle_poincare", lru_cache(reps._oracle_poincare.__wrapped__))
     rep = trivial_rep(Family("U", 2, 3))
     with pytest.raises(InvariantViolation, match="dimension 4, its Levi blocks give 12"):
@@ -319,7 +319,7 @@ def test_mirror_blocks_run_the_engine_once(monkeypatch):
         return IntPoly([1])
 
     monkeypatch.setattr(reps, "_oracle_poincare", lru_cache(reps._oracle_poincare.__wrapped__))
-    monkeypatch.setattr(reps, "invariant_poincare", engine)
+    monkeypatch.setattr(characters, "invariant_poincare", engine)
     first, second = trivial_rep(Family("Sp", 2, 4)), trivial_rep(Family("Sp", 4, 2))
     assert (block_tags(first), block_tags(second)) == ((("quat", 2, 4),), (("quat", 4, 2),))
     assert poincare_oracle(first) == poincare_oracle(second) == IntPoly([1])
@@ -389,7 +389,7 @@ def test_closed_product_never_runs_the_engine(monkeypatch):
     def engine(*args):
         raise AssertionError("poincare_closed ran the invariants engine")
 
-    monkeypatch.setattr(reps, "invariant_poincare", engine)
+    monkeypatch.setattr(characters, "invariant_poincare", engine)
     reps._closed_poincare.cache_clear()
     for fam in [Family("O", 5, 5), Family("O", 6, 7), Family("Sp", 2, 3), Family("U", 3, 3)]:
         assert poincare_closed(trivial_rep(fam)).is_palindromic()
