@@ -79,6 +79,8 @@ def parse_glrep(text: str) -> GLRep:
         if not match:
             raise DomainError(f"cannot parse block {chunk!r}")
         m, j, num, den = match.groups()
+        if den is not None and int(den) == 0:
+            raise DomainError(f"twist denominator is zero in block {chunk!r}")
         alpha = Fraction(int(num), int(den)) if num is not None else None
         blocks.append(GLBlock(int(m), int(j), alpha))
     if not blocks:
@@ -88,8 +90,8 @@ def parse_glrep(text: str) -> GLRep:
 
 def rho(n: int):
     """Half-sum vector ((n-1)/2, (n-3)/2, ..., (1-n)/2) of GL(n)."""
-    if n < 1:
-        raise BadRank(f"need n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise BadRank(f"need an int n >= 1, got {n!r}")
     return tuple(Fraction(n - 1, 2) - k for k in range(n))
 
 
@@ -104,8 +106,8 @@ def t_matrix(rep: GLRep):
 def pad_rho(m: int, n: int):
     """rho(m) stretched to length n: positives up top, negatives at the
     bottom, zeros in between."""
-    if not 1 <= m <= n:
-        raise BadRank(f"need 1 <= m <= n, got m={m} n={n}")
+    if type(m) is not int or type(n) is not int or not 1 <= m <= n:
+        raise BadRank(f"need ints 1 <= m <= n, got m={m!r} n={n!r}")
     half = m // 2
     rm = rho(m)
     return rm[:half] + (Fraction(0),) * (n - 2 * half) + rm[m - half :]
@@ -128,8 +130,8 @@ def restrict_prediction(T, m: int, mode: str = "outer"):
     """
     T = tuple(map(_exact, T))
     n = len(T)
-    if not 1 <= m <= n:
-        raise BadRank(f"cannot restrict length {n} to length {m}")
+    if type(m) is not int or not 1 <= m <= n:
+        raise BadRank(f"cannot restrict length {n} to length {m!r}")
     if mode not in ("outer", "top"):
         raise DomainError(f"unknown clip mode {mode!r}")
     rn = rho(n)
@@ -150,8 +152,8 @@ def prediction_modes_disagree(T, m: int) -> bool:
 
 def rho_rank1(kind: str, n: int) -> Fraction:
     """Half-sum size for the rank-one groups SU(n,1) and SO(n,1)."""
-    if n < 1:
-        raise BadRank(f"need n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        raise BadRank(f"need an int n >= 1, got {n!r}")
     if kind == "SU":
         return Fraction(n)
     if kind == "SO":
@@ -175,8 +177,8 @@ def hyp_chain_epsilon(n: int) -> Fraction:
     The seed value at n = 2 is 4/5; each step up the chain adds exactly 1,
     so the result is n - 6/5.
     """
-    if n < 2:
-        raise DomainError(f"the chain starts at n = 2, got {n}")
+    if type(n) is not int or n < 2:
+        raise DomainError(f"the chain starts at the int n = 2, got {n!r}")
     eps = Fraction(4, 5)
     for k in range(3, n + 1):
         eps = hyp_transfer(rho_rank1("SU", k), rho_rank1("SU", k - 1), eps)

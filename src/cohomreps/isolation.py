@@ -2,7 +2,7 @@
 
 Two notions are covered. Isolation in the unitary dual is decided by
 searching for parameters whose skew cell sets differ from the given one in
-a single box (two boxes for the orthogonal family, whose shapes can only
+a single cell (two cells for the orthogonal family, whose shapes can only
 change symmetrically). Isolation among the parameters with invariant
 vectors at infinity ("degree zero" spectrum) only looks at enlargements of
 the cell set. In both cases the verdict carries the list of offending

@@ -23,7 +23,6 @@ from .errors import (
 )
 
 Partition = tuple  # tuple of ints, weakly decreasing, no trailing zeros
-BoxSet = frozenset  # frozenset of (row, col), 1-based
 
 
 def canonical(parts: Sequence[int]) -> Partition:
@@ -52,7 +51,14 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0))
 
 
+def _check_box(p: int, q: int) -> None:
+    """Refuse box dimensions that are not ints >= 0; bools are refused too."""
+    if type(p) is not int or type(q) is not int or p < 0 or q < 0:
+        raise ValueError(f"box dimensions must be nonnegative integers, got {p!r} x {q!r}")
+
+
 def fits_in_box(lam: Partition, p: int, q: int) -> bool:
+    _check_box(p, q)
     lam = canonical(lam)
     return len(lam) <= p and (not lam or lam[0] <= q)
 
@@ -76,7 +82,7 @@ def contains(inner: Partition, outer: Partition) -> bool:
     return len(inner) <= len(outer) and all(x <= y for x, y in zip(inner, outer))
 
 
-def skew_box_set(lam: Partition, mu: Partition, p: int, q: int) -> BoxSet:
+def skew_box_set(lam: Partition, mu: Partition, p: int, q: int) -> frozenset:
     """The cell set {(r, c) : lam_r < c <= mu_r} of the skew shape mu/lam."""
     lam = canonical(lam)
     mu = _require_in_box(mu, p, q)
@@ -94,28 +100,12 @@ class Rectangle(NamedTuple):
 class SkewDecomposition(NamedTuple):
     """Rectangles of a compatible skew shape, top-right block first.
 
-    anchors[i] is the 1-based (row, col) of rectangle i's top-left cell.
     cells is the absolute cell set of the whole skew shape as a bitmask of
     the p x q box: bit (r - 1) * q + (c - 1) stands for cell (r, c).
     """
 
     rectangles: tuple
-    anchors: tuple
     cells: int
-
-    @property
-    def boxes(self) -> BoxSet:
-        """The cell set as a frozenset of (row, col), read off the rectangles."""
-        return frozenset(
-            (r, c)
-            for (a, b), (r0, c0) in zip(self.rectangles, self.anchors)
-            for r in range(r0, r0 + a)
-            for c in range(c0, c0 + b)
-        )
-
-    @property
-    def box_count(self) -> int:
-        return self.cells.bit_count()
 
 
 def _skew(lam_pad: tuple, mu_pad: tuple, q: int) -> Optional[SkewDecomposition]:
@@ -129,7 +119,7 @@ def _skew(lam_pad: tuple, mu_pad: tuple, q: int) -> Optional[SkewDecomposition]:
     a rectangle. Rows with disjoint intervals start a new rectangle down
     and to the left, touching the one above in at most a corner.
     """
-    rects, anchors, cells, above = [], [], 0, None
+    rects, cells, above = [], 0, None
     for r, (lo, hi) in enumerate(zip(lam_pad, mu_pad)):
         if lo == hi:
             above = None
@@ -143,9 +133,8 @@ def _skew(lam_pad: tuple, mu_pad: tuple, q: int) -> Optional[SkewDecomposition]:
         if above and above[0] < hi:
             return None
         rects.append(Rectangle(1, hi - lo))
-        anchors.append((r + 1, lo + 1))
         above = (lo, hi)
-    return SkewDecomposition(tuple(rects), tuple(anchors), cells)
+    return SkewDecomposition(tuple(rects), cells)
 
 
 def _padded(lam: Partition, p: int) -> tuple:
@@ -181,30 +170,29 @@ def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
     ending at most at column lam_(r-1) (q for the first row), so it starts
     strictly down and to the left of the one above. An empty row always
     fits, so every partial mu completes: no incompatible pair is built.
-    The partial mus of a row carry their rectangles, anchors and cells.
+    The partial mus of a row carry their rectangles and cells.
     """
     for lam in enumerate_partitions_in_box(p, q):
         edges = (q,) + _padded(lam, p)
-        level = [((), (), (), 0)]  # (mu, rectangles, anchors, cells) so far
+        level = [((), (), 0)]  # (mu, rectangles, cells) so far
         for i in range(p):
             lo, top, shift = edges[i + 1], edges[i], i * q
             grown = []
-            for mu, rects, anchors, cells in level:
-                grown.append((mu + (lo,), rects, anchors, cells))
+            for mu, rects, cells in level:
+                grown.append((mu + (lo,), rects, cells))
                 if lo < top:
-                    new = ((i + 1, lo + 1),)
                     grown += [
-                        (mu + (hi,), rects + (Rectangle(1, hi - lo),), anchors + new,
+                        (mu + (hi,), rects + (Rectangle(1, hi - lo),),
                          cells | ((1 << hi) - (1 << lo)) << shift)
                         for hi in range(lo + 1, top + 1)
                     ]
                 elif i and mu[-1] > lo:
                     (a, b), row = rects[-1], ((1 << mu[-1]) - (1 << lo)) << shift
                     rects = rects[:-1] + (Rectangle(a + 1, b),)
-                    grown.append((mu + (mu[-1],), rects, anchors, cells | row))
+                    grown.append((mu + (mu[-1],), rects, cells | row))
             level = grown
-        for mu, rects, anchors, cells in level:
-            yield lam, mu[: p - mu.count(0)], SkewDecomposition(rects, anchors, cells)
+        for mu, rects, cells in level:
+            yield lam, mu[: p - mu.count(0)], SkewDecomposition(rects, cells)
 
 
 def is_compatible(lam: Partition, mu: Partition, p: int, q: int) -> bool:
@@ -245,22 +233,13 @@ def orthogonal_decomposition(lam: Partition, p: int, q: int) -> OrthogonalDecomp
 def _palindrome(
     lam: Partition, skew: SkewDecomposition, p: int, q: int
 ) -> OrthogonalDecomposition:
-    rects, anchors = skew.rectangles, skew.anchors
-    m = len(rects)
-    # The skew of (lam, complement(lam)) is centrally symmetric, so the
-    # rectangle list must read the same from both ends and each anchor must
-    # map onto its partner under 180-degree rotation of the box. Symmetry
-    # makes a failure here impossible; the check stays as a tripwire.
-    for i in range(m):
-        j = m - 1 - i
-        a, b = rects[i]
-        r0, c0 = anchors[i]
-        mirror = (p - r0 - a + 2, q - c0 - b + 2)
-        if rects[j] != rects[i] or anchors[j] != mirror:
-            raise PalindromeViolation(
-                f"decomposition of {lam} in {p}x{q} is not palindromic: "
-                f"rectangle {i} has no mirror partner"
-            )
+    # The skew of (lam, complement(lam)) is centrally symmetric: rotating
+    # the box by 180 degrees reverses its p*q cell bits and the rectangle
+    # list. Symmetry makes a failure here impossible; the check stays as a
+    # tripwire.
+    rects, cells, m = skew.rectangles, skew.cells, len(skew.rectangles)
+    if rects != rects[::-1] or cells != int(bin(cells)[2:].zfill(p * q)[::-1], 2):
+        raise PalindromeViolation(f"decomposition of {lam} in {p}x{q} is not centrally symmetric")
     pairs = rects[: m // 2]
     center = tuple(rects[m // 2]) if m % 2 else (0, 0)
     return OrthogonalDecomposition(skew=skew, pairs=pairs, center=center)
@@ -276,6 +255,7 @@ def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
     compatible when its lower half is, which is checked row by row. The
     palindrome tripwire runs on every result.
     """
+    _check_box(p, q)
     stack = [()]
     while stack:
         lam = stack.pop()
@@ -313,8 +293,7 @@ def is_orthogonal(lam: Partition, p: int, q: int) -> bool:
 
 def enumerate_partitions_in_box(p: int, q: int) -> Iterator[Partition]:
     """All partitions with at most p parts, each at most q, in lex order."""
-    if p < 0 or q < 0:
-        raise ValueError("box dimensions must be nonnegative")
+    _check_box(p, q)
     return _box_partitions(p, q)
 
 

@@ -360,6 +360,12 @@ def test_domain_error_exits_3(capsys):
     assert "schema" in doc
 
 
+def test_zero_twist_denominator_exits_3(capsys):
+    code, doc = run_json(capsys, "restrict", "u(1,2)[1/0]", "1")
+    assert code == 3
+    assert doc["error"]["type"] == "DomainError"
+
+
 def test_degrees_signature_error(capsys):
     code, doc = run_json(capsys, "degrees", "5", "2", "2")
     assert code == 3

@@ -71,6 +71,8 @@ class TestBlocks:
             parse_glrep("u(1,3)[0.2]")
         with pytest.raises(DomainError):
             parse_glrep("")
+        with pytest.raises(DomainError, match="twist denominator is zero"):
+            parse_glrep("u(1,2)[1/0]")
 
 
 def test_rho():
@@ -187,6 +189,28 @@ def test_rejects_inexact_inputs(call, x):
     # Fraction(0.1) would be the nearest binary float, not 1/10
     with pytest.raises(DomainError, match="is not an int or a Fraction"):
         call(x)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: rho(True), BadRank),
+        (lambda: rho(2.0), BadRank),
+        (lambda: pad_rho(1, 2.0), BadRank),
+        (lambda: rho_rank1("SU", 2.5), BadRank),
+        (lambda: rho_rank1("SO", True), BadRank),
+        (lambda: hyp_chain_epsilon(3.0), DomainError),
+        (lambda: restrict_prediction((F(0), F(0)), True), BadRank),
+        (lambda: restrict_prediction((F(0), F(0)), 1.0), BadRank),
+    ],
+    ids=[
+        "rho-bool", "rho-float", "pad_rho-float", "rho_rank1-fraction", "rho_rank1-bool",
+        "hyp_chain_epsilon-float", "restrict_prediction-bool", "restrict_prediction-float",
+    ],
+)
+def test_non_int_ranks_are_refused(call, error):
+    with pytest.raises(error):
+        call()
 
 
 @pytest.mark.parametrize("args", [(True, 2), (1.0, 2), (1, 2.5), (1, True), (1, 2, 0.25)])

@@ -21,6 +21,7 @@ from cohomreps import (
     isolated_U_search,
     isolated_d0,
     make_rep,
+    skew_box_set,
     t1intro_inequalities,
     text_form,
     trivial_rep,
@@ -229,7 +230,9 @@ def test_flip_neighbors_match_frozenset_variants(moves, grow_only):
                 flipped = Counter(_neighbors(rep.skew.cells, p, q, moves, grow_only))
                 expected = Counter(
                     sum(1 << (r - 1) * q + c - 1 for r, c in variant)
-                    for variant in reference_variants(rep.skew.boxes, p, q, moves, grow_only)
+                    for variant in reference_variants(
+                        skew_box_set(rep.lam, rep.mu, p, q), p, q, moves, grow_only
+                    )
                 )
                 assert flipped == expected, f"{rep!r}"
 

@@ -11,7 +11,9 @@ from cohomreps import (
     NotCompatible,
     NotNested,
     NotOrthogonal,
+    PalindromeViolation,
     Rectangle,
+    SkewDecomposition,
     canonical,
     compatible_pairs,
     complement,
@@ -28,7 +30,7 @@ from cohomreps import (
     skew_box_set,
 )
 from cohomreps.checks import signatures
-from cohomreps.partitions import fits_in_box
+from cohomreps.partitions import _palindrome, fits_in_box
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -110,23 +112,28 @@ def test_skew_box_set_requires_nesting():
         skew_box_set((2,), (1,), 2, 2)
 
 
+def decode_cells(cells, p, q):
+    """The (row, col) set of a cell bitmask of the p x q box."""
+    return frozenset((i // q + 1, i % q + 1) for i in range(p * q) if cells >> i & 1)
+
+
 class TestRectangleDecomposition:
     def test_single_rectangle(self):
         dec = rectangle_decomposition((1, 1, 1), (3, 3, 3), 3, 4)
         assert dec.rectangles == (Rectangle(3, 2),)
-        assert dec.anchors == ((1, 2),)
-        assert dec.box_count == 6
+        assert decode_cells(dec.cells, 3, 4) == {(r, c) for r in (1, 2, 3) for c in (2, 3)}
+        assert dec.cells.bit_count() == 6
 
     def test_two_corner_touching_rectangles(self):
         dec = rectangle_decomposition((2, 1), (3, 2), 2, 3)
         assert dec.rectangles == (Rectangle(1, 1), Rectangle(1, 1))
-        assert dec.anchors == ((1, 3), (2, 2))
+        assert decode_cells(dec.cells, 2, 3) == {(1, 3), (2, 2)}
 
     def test_gap_between_rectangles_allowed(self):
         # middle row is empty, blocks need not touch at all
         dec = rectangle_decomposition((3, 2, 1), (4, 2, 2), 3, 4)
         assert dec.rectangles == (Rectangle(1, 1), Rectangle(1, 1))
-        assert dec.anchors == ((1, 4), (3, 2))
+        assert decode_cells(dec.cells, 3, 4) == {(1, 4), (3, 2)}
 
     def test_overlapping_rows_rejected(self):
         with pytest.raises(NotCompatible):
@@ -135,12 +142,12 @@ class TestRectangleDecomposition:
     def test_empty_skew(self):
         dec = rectangle_decomposition((2, 1), (2, 1), 2, 2)
         assert dec.rectangles == ()
-        assert dec.boxes == frozenset()
+        assert dec.cells == 0
 
     def test_full_box(self):
         dec = rectangle_decomposition((), (2, 2), 2, 2)
         assert dec.rectangles == (Rectangle(2, 2),)
-        assert dec.box_count == 4
+        assert dec.cells == 0b1111
 
 
 def test_incompatible_pair_names_the_overlapping_rows():
@@ -172,11 +179,6 @@ def test_orthogonal_partitions_filter_the_box(p, q):
     ]
 
 
-def decode_cells(cells, p, q):
-    """The (row, col) set of a cell bitmask of the p x q box."""
-    return frozenset((i // q + 1, i % q + 1) for i in range(p * q) if cells >> i & 1)
-
-
 def test_cells_bitmask_decodes_to_skew_box_set():
     for p, q in signatures(8):
         shapes = list(compatible_pairs(p, q))
@@ -184,15 +186,53 @@ def test_cells_bitmask_decodes_to_skew_box_set():
         for lam, mu, skew in shapes:
             assert skew.cells >> p * q == 0
             assert decode_cells(skew.cells, p, q) == skew_box_set(lam, mu, p, q), (lam, mu)
-            assert skew.boxes == skew_box_set(lam, mu, p, q)
 
 
 def test_decomposition_repr():
     skew = rectangle_decomposition((1,), (2, 1), 2, 2)
     assert repr(skew) == (
         "SkewDecomposition(rectangles=(Rectangle(rows=1, cols=1), Rectangle(rows=1, cols=1)), "
-        "anchors=((1, 2), (2, 1)), cells=6)"
+        "cells=6)"
     )
+
+
+@pytest.mark.parametrize(
+    "skew",
+    [
+        rectangle_decomposition((), (1,), 2, 2),
+        SkewDecomposition((Rectangle(1, 2), Rectangle(1, 1)), 0b1001),
+    ],
+    ids=["cells", "rectangles"],
+)
+def test_palindrome_tripwire_fires_without_central_symmetry(skew):
+    # 2 x 2 box: one corner cell, then a symmetric cell set whose rectangle
+    # list does not read the same reversed
+    with pytest.raises(PalindromeViolation, match="not centrally symmetric"):
+        _palindrome((), skew, 2, 2)
+
+
+@pytest.mark.parametrize("p, q", [(-2, 3), (2, -1), (2.0, 2), (2, 2.0), (True, 2), (2, True)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, q: fits_in_box((), p, q),
+        lambda p, q: complement((1,), p, q),
+        lambda p, q: skew_box_set((), (1,), p, q),
+        lambda p, q: rectangle_decomposition((), (1,), p, q),
+        lambda p, q: list(compatible_pairs(p, q)),
+        lambda p, q: orthogonal_decomposition((), p, q),
+        lambda p, q: list(orthogonal_partitions(p, q)),
+        lambda p, q: list(enumerate_partitions_in_box(p, q)),
+    ],
+    ids=[
+        "fits_in_box", "complement", "skew_box_set", "rectangle_decomposition",
+        "compatible_pairs", "orthogonal_decomposition", "orthogonal_partitions",
+        "enumerate_partitions_in_box",
+    ],
+)
+def test_box_dimensions_must_be_nonnegative_ints(call, p, q):
+    with pytest.raises(ValueError, match="box dimensions must be nonnegative integers"):
+        call(p, q)
 
 
 def test_is_compatible_never_raises():
@@ -290,5 +330,5 @@ def test_decomposition_boxes_match_cell_set(a, b):
     if not is_compatible(lam, mu, p, q):
         return
     dec = rectangle_decomposition(lam, mu, p, q)
-    assert dec.boxes == skew_box_set(lam, mu, p, q)
-    assert dec.box_count == sum(a * b for a, b in dec.rectangles)
+    assert decode_cells(dec.cells, p, q) == skew_box_set(lam, mu, p, q)
+    assert dec.cells.bit_count() == sum(a * b for a, b in dec.rectangles)
