@@ -25,9 +25,9 @@ _EXPORTS = {
     "isolation": "IsolationVerdict isolated_O isolated_Sp isolated_U_explicit isolated_U_search "
     "isolated_d0 t1intro_inequalities",
     "partitions": "OrthogonalDecomposition Rectangle SkewDecomposition canonical compatible_pairs "
-    "complement conjugate contains enumerate_partitions_in_box format_partition is_compatible "
-    "is_orthogonal orthogonal_decomposition orthogonal_partitions parse_partition "
-    "rectangle_decomposition skew_box_set",
+    "complement conjugate contains count_orthogonal count_pairs enumerate_partitions_in_box "
+    "format_partition is_compatible is_orthogonal orthogonal_decomposition orthogonal_partitions "
+    "parse_partition rectangle_decomposition skew_box_set",
     "polynomials": "IntPoly gaussian_binomial",
     "reps": "CohRep Family admits_flag_zero block_tags count_reps enumerate_reps full_cohomology "
     "group_and_module hodge_type iter_reps lp_character make_rep poincare_closed poincare_oracle "

@@ -13,6 +13,7 @@ or a question about degrees, Q2).
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, NotADivisor, SignatureMismatch
@@ -73,11 +74,17 @@ def lemC_bruteforce(a: int, b: int, p: int):
     return max(values), len(parities) == 1
 
 
+# A larger degree support is refused, like MAX_REPS for enumeration.
+MAX_DEGREES = 1_000_000
+
+
 class DegreeSet(NamedTuple):
-    """Degrees reachable below and above the middle dimension pq."""
+    """Degrees reachable below and above the middle dimension pq, and the
+    bands as (b, N(b, n, p)) for each divisor b > 1 of n, b ascending."""
 
     degrees: tuple
     center: int
+    bands: tuple
 
     @property
     def parity(self) -> int:
@@ -91,24 +98,30 @@ class DegreeSet(NamedTuple):
 def degree_support(n: int, p: int, q: int) -> DegreeSet:
     """Union over divisors b > 1 of n of the bands [pq - N(b), pq + N(b)].
 
-    Each band steps by 2 from its own endpoints. Bands for different
-    divisors can have different endpoint parities, so the union need not be
-    parity-uniform; the DegreeSet keeps the middle dimension around so
-    callers can check symmetry or parity themselves.
+    Each band steps by 2 from its own endpoints, so bands whose endpoints
+    have the same parity nest and the union is the widest band of each
+    parity. It need not be parity-uniform; the DegreeSet keeps the middle
+    dimension around so callers can check symmetry or parity themselves.
+    A support of more than MAX_DEGREES degrees is refused with DomainError
+    before any degree is listed. The divisors are walked up to sqrt(n).
     """
     _require_ints("n p q", n, p, q)
     if p + q != n:
         raise SignatureMismatch(f"p + q = {p + q} does not match n = {n}")
     if not 1 <= p <= q:
         raise DomainError(f"need 1 <= p <= q, got p={p} q={q}")
+    low = [b for b in range(1, isqrt(n) + 1) if n % b == 0]
+    bands = tuple((b, N(b, n, p)) for b in low[1:] + [n // b for b in low[::-1] if b * b != n])
+    widest = {w % 2: w for w in sorted(w for _, w in bands)}
+    size = sum(w + 1 for w in widest.values())
+    if size > MAX_DEGREES:
+        raise DomainError(
+            f"the degree support of n={n}, p={p}, q={q} has {size} degrees, "
+            f"more than the {MAX_DEGREES} that are listed"
+        )
     center = p * q
-    support = set()
-    for b in range(2, n + 1):
-        if n % b:
-            continue
-        width = N(b, n, p)
-        support.update(range(center - width, center + width + 1, 2))
-    return DegreeSet(tuple(sorted(support)), center)
+    support = sorted(d for w in widest.values() for d in range(center - w, center + w + 1, 2))
+    return DegreeSet(tuple(support), center, bands)
 
 
 class CoverageTag(NamedTuple):

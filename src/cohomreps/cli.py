@@ -301,17 +301,13 @@ def _cmd_isolate(args) -> int:
 
 
 def _cmd_degrees(args) -> int:
-    from .autdegrees import CONDITIONAL_NOTE, N, degree_support
+    from .autdegrees import CONDITIONAL_NOTE, degree_support
 
     ds = degree_support(args.n, args.p, args.q)
-    divisors = []
-    for b in range(2, args.n + 1):
-        if args.n % b:
-            continue
-        width = N(b, args.n, args.p)
-        divisors.append(
-            {"b": b, "N": width, "interval": [ds.center - width, ds.center + width]}
-        )
+    divisors = [
+        {"b": b, "N": width, "interval": [ds.center - width, ds.center + width]}
+        for b, width in ds.bands
+    ]
     body = {
         "center": ds.center,
         "parity": ds.parity,

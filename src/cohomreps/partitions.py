@@ -12,7 +12,7 @@ package.
 from __future__ import annotations
 
 import json
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     BoxOverflow,
@@ -108,32 +108,37 @@ class SkewDecomposition(NamedTuple):
     cells: int
 
 
-def _skew(lam_pad: tuple, mu_pad: tuple, q: int) -> Optional[SkewDecomposition]:
-    """The decomposition of mu/lam in a box of width q, or None if the pair
-    is not compatible. Trusts its input: the rows are padded to the box
-    height, and lam_pad is a partition contained in mu_pad.
+def _follows(above: tuple, row: tuple) -> bool:
+    """The row rule of compatibility, stated only here: whether the skew row
+    (lo, hi] = (lam_r, mu_r] may sit under the row above, (lam_(r-1),
+    mu_(r-1)], row 0 being the virtual (q, q). It may if it ends where the
+    row above starts or further left, so they meet at most in a corner, or
+    if it is the same nonempty interval, a rectangle continued."""
+    return row[1] <= above[0] or row == above and row[0] < row[1]
 
-    Row r of the skew is the column interval (lam_r, mu_r]. Two consecutive
-    nonempty rows belong to one rectangle when their intervals coincide;
-    if they overlap without being equal, some connected component is not
-    a rectangle. Rows with disjoint intervals start a new rectangle down
-    and to the left, touching the one above in at most a corner.
-    """
-    rects, cells, above = [], 0, None
-    for r, (lo, hi) in enumerate(zip(lam_pad, mu_pad)):
-        if lo == hi:
-            above = None
-            continue
-        cells |= ((1 << hi) - (1 << lo)) << r * q
-        if above == (lo, hi):
-            rects[-1] = Rectangle(rects[-1].rows + 1, hi - lo)
-            continue
-        # intervals shrink leftwards down the rows: the row above meets this
-        # one iff it starts left of this one's right end
-        if above and above[0] < hi:
-            return None
-        rects.append(Rectangle(1, hi - lo))
-        above = (lo, hi)
+
+def _skew(lam_pad: tuple, mu_pad: tuple, q: int) -> SkewDecomposition:
+    """The decomposition of mu/lam in a box of width q; NotCompatible at the
+    first row that does not follow the one above by _follows. Trusts its
+    input: the rows are padded to the box height, and lam_pad is a
+    partition contained in mu_pad. A nonempty row equal to the one above
+    continues its rectangle; any other starts a new one."""
+    rects, cells, above = [], 0, (q, q)
+    for r, row in enumerate(zip(lam_pad, mu_pad)):
+        if not _follows(above, row):
+            lam, mu, p = canonical(lam_pad), canonical(mu_pad), len(lam_pad)
+            raise NotCompatible(
+                f"skew of ({lam}, {mu}) in {p}x{q}: rows {r} and {r + 1} "
+                "overlap in more than a corner"
+            )
+        lo, hi = row
+        if lo < hi:
+            cells |= ((1 << hi) - (1 << lo)) << r * q
+            if row == above:
+                rects[-1] = Rectangle(rects[-1].rows + 1, hi - lo)
+            else:
+                rects.append(Rectangle(1, hi - lo))
+        above = row
     return SkewDecomposition(tuple(rects), cells)
 
 
@@ -149,28 +154,19 @@ def rectangle_decomposition(
     mu = _require_in_box(mu, p, q)
     if not contains(lam, mu):
         raise NotNested(f"{lam} is not contained in {mu}")
-    lam_pad, mu_pad = _padded(lam, p), _padded(mu, p)
-    skew = _skew(lam_pad, mu_pad, q)
-    if skew is None:
-        r = next(r for r in range(2, p + 1) if _skew(lam_pad[:r], mu_pad[:r], q) is None)
-        raise NotCompatible(
-            f"skew of ({lam}, {mu}) in {p}x{q}: rows {r - 1} and {r} "
-            "overlap in more than a corner"
-        )
-    return skew
+    return _skew(_padded(lam, p), _padded(mu, p), q)
 
 
 def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
     """Every compatible pair in the p x q box as (lam, mu, decomposition).
 
     The pairs come in (lam, mu) lex order. For each lam, mu is built row by
-    row, and row r only takes values that keep the skew compatible: the
-    empty row mu_r = lam_r; the rectangle above continued, mu_r = mu_(r-1),
-    when row r-1 is nonempty and lam_r = lam_(r-1); or a new rectangle
-    ending at most at column lam_(r-1) (q for the first row), so it starts
-    strictly down and to the left of the one above. An empty row always
-    fits, so every partial mu completes: no incompatible pair is built.
-    The partial mus of a row carry their rectangles and cells.
+    row, and the loop is the rule of _follows solved for mu_r: lam_r <=
+    mu_r <= lam_(r-1) (q for the first row), or mu_r = mu_(r-1), the
+    rectangle above continued, when lam_r = lam_(r-1) < mu_(r-1). The empty
+    row mu_r = lam_r always follows, so every partial mu completes: no
+    incompatible pair is built. The partial mus of a row carry their
+    rectangles and cells.
     """
     for lam in enumerate_partitions_in_box(p, q):
         edges = (q,) + _padded(lam, p)
@@ -195,10 +191,33 @@ def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
             yield lam, mu[: p - mu.count(0)], SkewDecomposition(rects, cells)
 
 
+def count_pairs(p: int, q: int) -> tuple:
+    """(compatible pairs, those with lam_p = 0 < mu_p) of the p x q box,
+    counted without building any: a transfer sum of _follows over the rows
+    from (q, q). Entry [lo][hi] counts the partial pairs ending in the row
+    (lo, hi], which follows every row whose lam is at least hi, and itself
+    when lo < hi; prefix sums over lam make a step O(q^2)."""
+    _check_box(p, q)
+    states = [[0] * (q + 1) for _ in range(q + 1)]
+    states[q][q] = 1
+    for _ in range(p):
+        at_least, total = [0] * (q + 1), 0
+        for lo in range(q, -1, -1):
+            total += sum(states[lo])
+            at_least[lo] = total
+        states = [
+            [0] * lo + [at_least[lo]]
+            + [at_least[hi] + states[lo][hi] for hi in range(lo + 1, q + 1)]
+            for lo in range(q + 1)
+        ]
+    return sum(map(sum, states)), sum(states[0][1:])
+
+
 def is_compatible(lam: Partition, mu: Partition, p: int, q: int) -> bool:
+    """Whether (lam, mu) is compatible in the p x q box; ValueError if malformed."""
     try:
         rectangle_decomposition(lam, mu, p, q)
-    except (BoxOverflow, NotNested, NotCompatible, ValueError):
+    except (BoxOverflow, NotNested, NotCompatible):
         return False
     return True
 
@@ -252,8 +271,9 @@ def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
     (lam_i, q - lam_(p+1-i)], so lam lies in its complement iff
     lam_i + lam_(p+1-i) <= q: a row past the middle is bounded by its
     mirror, the middle row by q // 2. By central symmetry the skew is
-    compatible when its lower half is, which is checked row by row. The
-    palindrome tripwire runs on every result.
+    compatible when its lower half is, so each lower row is kept only when
+    it follows the row above by _follows. The palindrome tripwire runs on
+    every result.
     """
     _check_box(p, q)
     stack = [()]
@@ -271,22 +291,41 @@ def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
             top = min(top, q - lam[p - 1 - i] if 2 * i + 1 > p else q // 2)
         kids = [lam + (x,) for x in range(top, -1, -1)]
         if i and 2 * i >= p:
-            # Rows i - 1 and i (0-based) are the intervals (a, b] and (c, d].
-            # By the rule of _skew they are compatible when a >= d, when one
-            # of them is empty, or when they coincide.
             a, d = lam[i - 1], q - lam[p - 1 - i]
             if a < d:
-                kids = [
-                    k for k in kids
-                    if d == k[i] or (b := q - k[p - i]) == a or (k[i], b) == (a, d)
-                ]
+                kids = [k for k in kids if _follows((a, q - k[p - i]), (k[i], d))]
         stack.extend(kids)
 
 
+def count_orthogonal(p: int, q: int) -> int:
+    """The orthogonal lam of the p x q box, counted without building any: a
+    transfer sum of _follows over the lower rows from the middle out, which
+    the upper rows mirror. A state (lo, up) is lam of a lower row and of its
+    mirror, so lo <= up, lo + up <= q and the skew row is (lo, q - up]. The
+    middle row (p odd) has lo = up; the middle pair (p even), (lo, q - up]
+    under (up, q - lo], follows iff lo = up or 2 up >= q. Further out,
+    (lo', q - up'] follows (lo, q - up] iff up' >= q - lo or it is the same
+    nonempty row; the order of lam adds up' >= up, and the bounds then give
+    lo' <= lo."""
+    _check_box(p, q)
+    if p == 0:
+        return 1  # the empty lam
+    states = [(lo, up) for lo in range(q // 2 + 1) for up in range(lo, q - lo + 1)]
+    counts = [int(lo == up or p % 2 == 0 and 2 * up >= q) for lo, up in states]
+    for _ in range((p - 1) // 2):
+        reach = [0] * (q + 1)
+        for (lo, up), n in zip(states, counts):
+            for u in range(max(up, q - lo), q + 1):
+                reach[u] += n
+        counts = [reach[up] + (n if lo + up < q else 0) for (lo, up), n in zip(states, counts)]
+    return sum(counts)
+
+
 def is_orthogonal(lam: Partition, p: int, q: int) -> bool:
+    """Whether lam is orthogonal in the p x q box; ValueError if malformed."""
     try:
         orthogonal_decomposition(lam, p, q)
-    except (BoxOverflow, NotOrthogonal, ValueError):
+    except (BoxOverflow, NotOrthogonal):
         return False
     return True
 

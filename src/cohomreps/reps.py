@@ -30,6 +30,8 @@ from .partitions import (
     canonical,
     compatible_pairs,
     complement,
+    count_orthogonal,
+    count_pairs,
     orthogonal_decomposition,
     orthogonal_partitions,
     rectangle_decomposition,
@@ -157,66 +159,15 @@ def trivial_rep(family: Family) -> CohRep:
 MAX_REPS = 1_000_000
 
 
-def _pair_states(p: int, q: int) -> list:
-    """Compatible pairs of the p x q box by their last row: entry [lo][hi]
-    counts the pairs with lam_p = lo and mu_p = hi.
-
-    Rows follow the rule of compatible_pairs, from a virtual row (q, q):
-    row r is empty (mu_r = lam_r), a new rectangle (lam_r < mu_r <=
-    lam_(r-1)) or the rectangle above continued (mu_r = mu_(r-1) when
-    lam_r = lam_(r-1) < mu_(r-1)). So a row (lo, hi) follows every row whose
-    lam is at least hi, and also the row (lo, hi) itself when lo < hi.
-    """
-    states = [[0] * (q + 1) for _ in range(q + 1)]
-    states[q][q] = 1
-    for _ in range(p):
-        at_least, total = [0] * (q + 1), 0
-        for lo in range(q, -1, -1):
-            total += sum(states[lo])
-            at_least[lo] = total
-        states = [
-            [0] * lo + [at_least[lo]]
-            + [at_least[hi] + states[lo][hi] for hi in range(lo + 1, q + 1)]
-            for lo in range(q + 1)
-        ]
-    return states
-
-
-def _orthogonal_count(p: int, q: int) -> int:
-    """The orthogonal lam of the p x q box, counted from the middle rows out.
-
-    A state (lo, up) is lam of a row in the lower half and of its mirror
-    row, so lo <= up, lo + up <= q and that row of the skew is the interval
-    (lo, q - up]; the upper half mirrors the lower. The middle row (p odd)
-    has lo = up. The rows of the middle pair (p even) are compatible by the
-    rule of _skew when lo = up or 2 up >= q. One step out, rows (lo, q - up]
-    and (lo', q - up'] with lo' <= lo and up <= up' are compatible when one
-    is empty, when they coincide or when lo >= q - up'. Under the bounds an
-    empty upper row implies the last condition, so (lo, up) is followed by
-    every state with up' >= max(up, q - lo), and by itself when its row is
-    not empty.
-    """
-    states = [(lo, up) for lo in range(q // 2 + 1) for up in range(lo, q - lo + 1)]
-    counts = [int(lo == up or p % 2 == 0 and 2 * up >= q) for lo, up in states]
-    for _ in range((p - 1) // 2):
-        reach = [0] * (q + 1)
-        for (lo, up), n in zip(states, counts):
-            for u in range(max(up, q - lo), q + 1):
-                reach[u] += n
-        counts = [reach[up] + (n if lo + up < q else 0) for (lo, up), n in zip(states, counts)]
-    return sum(counts)
-
-
 def count_reps(family: Family) -> int:
     """The number of representations of the family, without building any:
-    a dynamic program over the rows of the box, polynomial in p and q."""
+    a transfer sum over the rows of the box, polynomial in p and q."""
     kind, p, q = family
     if kind == "O":
-        return _orthogonal_count(p, q)
-    states = _pair_states(p, q)
-    count = sum(map(sum, states))
+        return count_orthogonal(p, q)
+    pairs, flag_zero = count_pairs(p, q)
     # in Sp each pair with lam_p = 0 < mu_p also carries flag 0
-    return count + sum(states[0][1:]) if kind == "Sp" else count
+    return pairs + flag_zero if kind == "Sp" else pairs
 
 
 def iter_reps(family: Family):

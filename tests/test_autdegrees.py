@@ -83,6 +83,19 @@ class TestDegreeSupport:
             mirrored = sorted(2 * ds.center - d for d in ds.degrees)
             assert list(ds.degrees) == mirrored
 
+    def test_support_is_the_union_of_the_bands(self):
+        for n in range(2, 60):
+            for p in range(1, n // 2 + 1):
+                ds = degree_support(n, p, n - p)
+                bands = tuple((b, N(b, n, p)) for b in range(2, n + 1) if n % b == 0)
+                union = {d for _, w in bands for d in range(ds.center - w, ds.center + w + 1, 2)}
+                assert ds.bands == bands, (n, p)
+                assert ds.degrees == tuple(sorted(union)), (n, p)
+
+    def test_oversized_support_is_refused_with_its_size(self):
+        with pytest.raises(DomainError, match="has 3125001 degrees, more than the 1000000"):
+            degree_support(5000, 2500, 2500)
+
     def test_signature_must_sum(self):
         with pytest.raises(SignatureMismatch):
             degree_support(5, 2, 2)

@@ -4,6 +4,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -232,6 +233,33 @@ def test_degrees_payload(capsys):
         {"b": 2, "N": 2, "interval": [2, 6]},
         {"b": 4, "N": 0, "interval": [4, 4]},
     ]
+
+
+def run_bounded(*argv, seconds):
+    """A fresh CLI process under a 1 GiB address space, killed past seconds."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "cohomreps.cli", *argv]
+    return subprocess.run(argv, capture_output=True, env=env, timeout=seconds, preexec_fn=limit)
+
+
+def test_oversized_degree_support_exits_3_with_its_size():
+    proc = run_bounded("degrees", "5000", "2500", "2500", seconds=20)
+    assert proc.returncode == 3
+    doc = json.loads(proc.stdout)
+    assert doc["error"]["type"] == "DomainError"
+    assert "has 3125001 degrees" in doc["error"]["message"]
+
+
+def test_prime_rank_degrees_answer_fast():
+    # n is prime, so its only divisor b > 1 is n and the support is pq alone
+    n = 1_000_000_000_039
+    proc = run_bounded("degrees", str(n), "1", str(n - 1), seconds=5)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["support"] == [n - 1]
 
 
 def test_coverage_payload(capsys):

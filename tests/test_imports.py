@@ -24,7 +24,8 @@ PUBLIC = [
     "PalindromeViolation", "Rectangle", "RepkaResult", "SignatureMismatch",
     "SkewDecomposition", "WrongFamily", "admits_flag_zero", "autdegrees",
     "block_tags", "canonical", "characters", "compatible_pairs", "complement",
-    "conjugate", "contains", "count_reps", "degree_support", "enumerate_partitions_in_box",
+    "conjugate", "contains", "count_orthogonal", "count_pairs", "count_reps", "degree_support",
+    "enumerate_partitions_in_box",
     "enumerate_reps", "errors", "factor_roots", "format_partition",
     "full_cohomology", "gaussian_binomial", "glrestrict", "group_and_module",
     "hodge_type", "hyp_chain_epsilon", "hyp_transfer", "invariant_poincare",
@@ -71,7 +72,7 @@ def test_no_module_imports_dataclasses():
 
 
 def test_public_names_resolve_lazily():
-    assert len(PUBLIC) == 90
+    assert len(PUBLIC) == 92
     assert cohomreps.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(cohomreps))
     for name in PUBLIC:

@@ -19,6 +19,8 @@ from cohomreps import (
     complement,
     conjugate,
     contains,
+    count_orthogonal,
+    count_pairs,
     enumerate_partitions_in_box,
     format_partition,
     is_compatible,
@@ -30,7 +32,7 @@ from cohomreps import (
     skew_box_set,
 )
 from cohomreps.checks import signatures
-from cohomreps.partitions import _palindrome, fits_in_box
+from cohomreps.partitions import _follows, _palindrome, fits_in_box
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -223,11 +225,13 @@ def test_palindrome_tripwire_fires_without_central_symmetry(skew):
         lambda p, q: orthogonal_decomposition((), p, q),
         lambda p, q: list(orthogonal_partitions(p, q)),
         lambda p, q: list(enumerate_partitions_in_box(p, q)),
+        count_pairs,
+        count_orthogonal,
     ],
     ids=[
         "fits_in_box", "complement", "skew_box_set", "rectangle_decomposition",
         "compatible_pairs", "orthogonal_decomposition", "orthogonal_partitions",
-        "enumerate_partitions_in_box",
+        "enumerate_partitions_in_box", "count_pairs", "count_orthogonal",
     ],
 )
 def test_box_dimensions_must_be_nonnegative_ints(call, p, q):
@@ -239,6 +243,120 @@ def test_is_compatible_never_raises():
     assert is_compatible((), (2, 2), 2, 2)
     assert not is_compatible((1,), (2, 2), 2, 2)
     assert not is_compatible((3,), (3,), 2, 2)  # lam sticks out of the box
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_compatible((), (), 2.0, 2),
+        lambda: is_compatible((1, 2), (2, 2), 2, 2),
+        lambda: is_orthogonal((), True, 2),
+        lambda: is_orthogonal((), -1, 2),
+        lambda: is_orthogonal((1.0,), 2, 2),
+    ],
+    ids=["float-box", "increasing-lam", "bool-box", "negative-box", "float-part"],
+)
+def test_predicates_raise_on_malformed_input(call):
+    # a bad box or a non-partition is an error, not a pair that fails the rule
+    with pytest.raises(ValueError):
+        call()
+
+
+def rule_pairs(p, q):
+    """Every (lam, mu) of the p x q box, by a row DFS over _follows alone."""
+    found, stack = [], [((), (), (q, q))]
+    while stack:
+        lam, mu, above = stack.pop()
+        if len(lam) == p:
+            found.append((canonical(lam), canonical(mu)))
+            continue
+        for lo in range(q + 1):
+            for hi in range(lo, q + 1):
+                if _follows(above, (lo, hi)):
+                    stack.append((lam + (lo,), mu + (hi,), (lo, hi)))
+    return sorted(found)
+
+
+def test_compatible_pairs_is_the_row_rule_solved_for_mu():
+    for p in range(10):
+        for q in range(10 - p):
+            got = [(lam, mu) for lam, mu, _ in compatible_pairs(p, q)]
+            assert got == rule_pairs(p, q), (p, q)
+
+
+def test_count_pairs_is_the_transfer_sum_of_the_row_rule():
+    for q in range(11):
+        rows = [(lo, hi) for lo in range(q + 1) for hi in range(lo, q + 1)]
+        for p in range(11):
+            states = {(q, q): 1}
+            for _ in range(p):
+                states = {
+                    row: sum(n for above, n in states.items() if _follows(above, row))
+                    for row in rows
+                }
+            flag_zero = sum(n for (lo, hi), n in states.items() if lo == 0 < hi)
+            assert count_pairs(p, q) == (sum(states.values()), flag_zero), (p, q)
+
+
+def test_counts_are_the_enumeration_lengths():
+    for p in range(7):
+        for q in range(7):
+            pairs = flag_zero = 0
+            for lam, mu, _ in compatible_pairs(p, q):
+                pairs += 1
+                flag_zero += len(lam) < p <= len(mu)
+            assert count_pairs(p, q) == (pairs, flag_zero), (p, q)
+            assert count_orthogonal(p, q) == len(list(orthogonal_partitions(p, q))), (p, q)
+
+
+def brute_rectangles(lam, mu, p, q):
+    """The edge-connected components of the cells of mu/lam as rectangles,
+    by top row; None when some component is not a full rectangle."""
+    cells, rects = set(skew_box_set(lam, mu, p, q)), []
+    while cells:
+        todo, part = [cells.pop()], []
+        while todo:
+            r, c = cell = todo.pop()
+            part.append(cell)
+            for nb in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                if nb in cells:
+                    cells.remove(nb)
+                    todo.append(nb)
+        rows, cols = {r for r, _ in part}, {c for _, c in part}
+        height, width = max(rows) - min(rows) + 1, max(cols) - min(cols) + 1
+        if len(part) != height * width:
+            return None
+        rects.append((min(rows), Rectangle(height, width)))
+    return tuple(rect for _, rect in sorted(rects))
+
+
+def test_compatibility_is_a_chain_of_rectangle_components():
+    nested = 0
+    for p, q in signatures(8):
+        parts = list(enumerate_partitions_in_box(p, q))
+        for lam in parts:
+            for mu in parts:
+                if not contains(lam, mu):
+                    continue
+                nested += 1
+                rects = brute_rectangles(lam, mu, p, q)
+                assert is_compatible(lam, mu, p, q) == (rects is not None), (lam, mu)
+                if rects is not None:
+                    assert rectangle_decomposition(lam, mu, p, q).rectangles == rects
+    assert nested == 6900
+
+
+def test_orthogonal_partitions_are_the_brute_force_orthogonal_lams():
+    total = 0
+    for p, q in signatures(12):
+        expected = []
+        for lam in enumerate_partitions_in_box(p, q):
+            mu = complement(lam, p, q)
+            if contains(lam, mu) and brute_rectangles(lam, mu, p, q) is not None:
+                expected.append(lam)
+        assert [lam for lam, _, _ in orthogonal_partitions(p, q)] == expected, (p, q)
+        total += len(expected)
+    assert total == 1687
 
 
 class TestOrthogonal:
