@@ -76,6 +76,9 @@ def lemC_bruteforce(a: int, b: int, p: int):
 
 # A larger degree support is refused, like MAX_REPS for enumeration.
 MAX_DEGREES = 1_000_000
+# A larger n is refused: its divisor walk would take over 10^7 steps, about
+# 1 s on a 2-vCPU machine.
+MAX_N = 10**14
 
 
 class DegreeSet(NamedTuple):
@@ -103,13 +106,16 @@ def degree_support(n: int, p: int, q: int) -> DegreeSet:
     parity. It need not be parity-uniform; the DegreeSet keeps the middle
     dimension around so callers can check symmetry or parity themselves.
     A support of more than MAX_DEGREES degrees is refused with DomainError
-    before any degree is listed. The divisors are walked up to sqrt(n).
+    before any degree is listed. The divisors are walked up to sqrt(n), so
+    an n above MAX_N is refused with DomainError before the walk.
     """
     _require_ints("n p q", n, p, q)
     if p + q != n:
         raise SignatureMismatch(f"p + q = {p + q} does not match n = {n}")
     if not 1 <= p <= q:
         raise DomainError(f"need 1 <= p <= q, got p={p} q={q}")
+    if n > MAX_N:
+        raise DomainError(f"n={n} is more than the {MAX_N} whose divisors are walked")
     low = [b for b in range(1, isqrt(n) + 1) if n % b == 0]
     bands = tuple((b, N(b, n, p)) for b in low[1:] + [n // b for b in low[::-1] if b * b != n])
     widest = {w % 2: w for w in sorted(w for _, w in bands)}

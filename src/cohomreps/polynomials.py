@@ -3,7 +3,9 @@ the Poincare polynomials of real Grassmannians."""
 
 from __future__ import annotations
 
-from functools import lru_cache
+from collections import Counter
+from itertools import accumulate
+from operator import add, sub
 
 from .errors import DomainError, InexactDivision
 
@@ -115,24 +117,48 @@ ZERO = IntPoly()
 ONE = IntPoly((1,))
 
 
-# The bound holds the whole triangle n <= 43 (990 entries), so the Pascal
-# recursion below finds every smaller entry it needs at any box size the
-# package reaches; blocks with p+q <= 10 use at most 66 entries.
-# typed, so that a float or bool equal to a cached int reaches the check
-@lru_cache(maxsize=1024, typed=True)
-def gaussian_binomial(n: int, k: int) -> IntPoly:
-    """The q-binomial coefficient as a polynomial in t.
+def _times_one_minus(c: list, k: int) -> list:
+    """The coefficients of (1 - t^k) times the polynomial with coefficients c."""
+    out = c + [0] * k
+    out[k:] = map(sub, out[k:], c)
+    return out
 
-    Computed through the Pascal recurrence [n,k] = [n-1,k-1] + t^k [n-1,k],
-    which keeps everything in integer arithmetic.
+
+def _over_one_minus(c: list, k: int) -> list:
+    """The coefficients of the polynomial with coefficients c divided by
+    1 - t^k; InexactDivision if the division leaves a remainder."""
+    # c = (1 - t^k) * quot means quot_i = c_i + quot_(i-k): a running sum
+    # over each residue class mod k
+    quot = list(c)
+    for r in range(k):
+        quot[r::k] = accumulate(quot[r::k])
+    if any(quot[len(quot) - k :]):
+        raise InexactDivision(f"{IntPoly(c)} is not divisible by 1 - t^{k}")
+    return quot[: len(quot) - k]
+
+
+def times_gaussian(poly: IntPoly, n: int, k: int, step: int = 1) -> IntPoly:
+    """poly times the Gaussian binomial [n, k] in t^step, 0 <= k <= n.
+
+    [n, k] is the product of (1 - t^(n-k+i)) / (1 - t^i) over i = 1..k.
+    The first i factors make [n-k+i, i], so multiplying and dividing one
+    factor at a time keeps the running product a polynomial, of degree at
+    most that of the result; each division is checked to be exact. The
+    arguments are trusted; gaussian_binomial checks them.
     """
+    c, k = list(poly.coeffs), min(k, n - k)
+    for i in range(1, k + 1):
+        c = _over_one_minus(_times_one_minus(c, step * (n - k + i)), step * i)
+    return _trusted(tuple(c))
+
+
+def gaussian_binomial(n: int, k: int) -> IntPoly:
+    """The q-binomial coefficient as a polynomial in t."""
     if type(n) is not int or type(k) is not int:
         raise DomainError(f"gaussian_binomial needs ints, got ({n!r}, {k!r})")
     if k < 0 or k > n:
         return ZERO
-    if k == 0 or k == n:
-        return ONE
-    return gaussian_binomial(n - 1, k - 1) + gaussian_binomial(n - 1, k).shift(k)
+    return times_gaussian(ONE, n, k)
 
 
 def _so_degrees(n: int) -> list:
@@ -141,32 +167,35 @@ def _so_degrees(n: int) -> list:
     return list(range(2, n, 2)) + ([n // 2] if n % 2 == 0 else [])
 
 
-def grassmannian_poincare(a: int, b: int) -> IntPoly:
-    """Poincare polynomial of the oriented real Grassmannian SO(a+b)/SO(a)xSO(b).
+def times_grassmannian(poly: IntPoly, a: int, b: int) -> IntPoly:
+    """poly times the Poincare polynomial of the oriented real Grassmannian
+    SO(a+b)/SO(a)xSO(b), a, b >= 1.
 
     It is also the series of SO(a) x SO(b) invariants in the exterior
     algebra of R^a (x) R^b (Cartan; Borel, Ann. of Math. 57 (1953)):
     prod(1 - t^(2d)) over the degrees d of SO(a+b), divided by the same
     product over the degrees of SO(a) and SO(b). When a and b are both odd
     the ranks differ by one, so the Euler degree (a+b)/2 leaves the
-    numerator and a factor 1 + t^(a+b-1) comes in. Each division is
-    checked to be exact.
+    numerator and a factor 1 + t^(a+b-1) comes in. The degrees on both
+    sides cancel first, so the running product stays within about twice
+    the degree of the result; each division is checked to be exact.
     """
+    top, bottom = Counter(_so_degrees(a + b)), Counter(_so_degrees(a) + _so_degrees(b))
+    c = list(poly.coeffs)
+    if a % 2 and b % 2:
+        top[(a + b) // 2] -= 1
+        c = list(map(add, c + [0] * (a + b - 1), [0] * (a + b - 1) + c))
+    common = top & bottom
+    for d in (top - common).elements():
+        c = _times_one_minus(c, 2 * d)
+    for d in (bottom - common).elements():
+        c = _over_one_minus(c, 2 * d)
+    return _trusted(tuple(c))
+
+
+def grassmannian_poincare(a: int, b: int) -> IntPoly:
+    """Poincare polynomial of the oriented real Grassmannian
+    SO(a+b)/SO(a)xSO(b); see times_grassmannian."""
     if type(a) is not int or type(b) is not int or a < 1 or b < 1:
         raise ValueError(f"block sizes must be positive ints, got {a!r}x{b!r}")
-    top = _so_degrees(a + b)
-    poly = ONE
-    if a % 2 and b % 2:
-        top.remove((a + b) // 2)
-        poly = ONE + ONE.shift(a + b - 1)
-    for d in top:
-        poly = poly * IntPoly([1] + [0] * (2 * d - 1) + [-1])
-    for d in _so_degrees(a) + _so_degrees(b):
-        # poly = (1 - t^k) * quot means quot_i = poly_i + quot_(i-k)
-        k, c = 2 * d, list(poly.coeffs)
-        for i in range(k, len(c)):
-            c[i] += c[i - k]
-        if any(c[len(c) - k :]):
-            raise InexactDivision(f"{poly} is not divisible by 1 - t^{k}")
-        poly = IntPoly(c[: len(c) - k])
-    return poly
+    return times_grassmannian(ONE, a, b)

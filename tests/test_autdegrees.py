@@ -15,6 +15,7 @@ from cohomreps import (
     relth_coverage,
     trivial_rep,
 )
+from cohomreps.autdegrees import MAX_N
 from cohomreps.checks import run
 
 
@@ -95,6 +96,11 @@ class TestDegreeSupport:
     def test_oversized_support_is_refused_with_its_size(self):
         with pytest.raises(DomainError, match="has 3125001 degrees, more than the 1000000"):
             degree_support(5000, 2500, 2500)
+
+    def test_rank_past_the_walk_bound_is_refused(self):
+        n = MAX_N + 1
+        with pytest.raises(DomainError, match=f"n={n} is more than the {n - 1}"):
+            degree_support(n, 1, n - 1)
 
     def test_signature_must_sum(self):
         with pytest.raises(SignatureMismatch):

@@ -262,6 +262,26 @@ def test_prime_rank_degrees_answer_fast():
     assert json.loads(proc.stdout)["support"] == [n - 1]
 
 
+# One input past each size bound that exits 3 before the work starts: the
+# closed product, the divisor walk of degrees and the exponents of restrict.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("cohomology", "U", "300", "300"), "has degree 180000"),
+        (("cohomology", "U", "300", "300", "--closed-only"), "has degree 180000"),
+        (("degrees", "1000000000000000003", "1", "1000000000000000002"), "n=1000000000000000003"),
+        (("restrict", "u(1,100000000)", "1"), "GL(100000000)"),
+    ],
+    ids=["cohomology", "cohomology-closed", "degrees", "restrict"],
+)
+def test_oversized_inputs_exit_3_at_once(argv, message):
+    proc = run_bounded(*argv, seconds=10)
+    assert proc.returncode == 3
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "DomainError"
+    assert message in error["message"]
+
+
 def test_coverage_payload(capsys):
     code, doc = run_json(
         capsys, "coverage", "U", "2", "3", "--lambda", "[1,1]", "--mu", "[2,2]"

@@ -14,6 +14,7 @@ from cohomreps import (
     BadRank,
     DomainError,
     GLBlock,
+    GLRep,
     WrongFamily,
     hyp_chain_epsilon,
     hyp_transfer,
@@ -26,7 +27,7 @@ from cohomreps import (
     rho_rank1,
     t_matrix,
 )
-from cohomreps.glrestrict import pad_rho
+from cohomreps.glrestrict import MAX_RANK, pad_rho
 
 F = Fraction
 
@@ -96,6 +97,12 @@ def test_t_matrix_examples():
         F(-1, 6),
         F(-5, 6),
     )
+
+
+def test_t_matrix_refuses_a_rank_past_the_bound():
+    assert len(t_matrix(GLRep((GLBlock(2, MAX_RANK // 4, F(1, 3)),)))) == MAX_RANK
+    with pytest.raises(DomainError, match=f"GL\\({MAX_RANK + 1}\\) is larger"):
+        t_matrix(GLRep((GLBlock(1, MAX_RANK), GLBlock(1, 1))))
 
 
 def test_pad_rho():

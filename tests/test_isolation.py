@@ -26,9 +26,8 @@ from cohomreps import (
     text_form,
     trivial_rep,
 )
-from cohomreps import cli
 from cohomreps.checks import run, signatures
-from cohomreps.isolation import _flag_zero_index, _index, _neighbors
+from cohomreps.isolation import _flips
 from cohomreps.reps import BracketNames
 
 
@@ -211,7 +210,7 @@ def test_witness_tuples(judge, family, lam, mu, flag, witnesses):
 def reference_variants(boxes, p, q, moves, grow_only):
     """Cell sets of the p x q box reached from `boxes` by changing `moves`
     cells: k removed and moves - k added, or only added when growing.
-    The frozenset form of the search, the reference for _neighbors."""
+    Every such change is walked, symmetric or not."""
     grid = ((r, c) for r in range(1, p + 1) for c in range(1, q + 1))
     outside = [cell for cell in grid if cell not in boxes]
     for k in range(1 if grow_only else moves + 1):
@@ -221,18 +220,33 @@ def reference_variants(boxes, p, q, moves, grow_only):
                 yield shrunk.union(added)
 
 
+def bitmask(cells, q):
+    return sum(1 << (r - 1) * q + c - 1 for r, c in cells)
+
+
 @pytest.mark.parametrize("grow_only", [False, True])
 @pytest.mark.parametrize("moves", [1, 2])
 def test_flip_neighbors_match_frozenset_variants(moves, grow_only):
-    for kind in ("U", "O", "Sp"):
+    # The one-cell flips of U and Sp reach every one-cell change; the
+    # mirrored-pair flips of O reach exactly the two-cell changes that
+    # leave the cell set centrally symmetric, indexed or not.
+    for kind in ("U", "Sp") if moves == 1 else ("O",):
         for p, q in signatures(7):
+            flips = _flips(p, q, kind == "O")
             for rep in enumerate_reps(Family(kind, p, q)):
-                flipped = Counter(_neighbors(rep.skew.cells, p, q, moves, grow_only))
+                cells = rep.skew.cells
+                flipped = Counter(
+                    cells | f if grow_only else cells ^ f
+                    for f in flips
+                    if not (grow_only and cells & f)
+                )
+                variants = reference_variants(
+                    skew_box_set(rep.lam, rep.mu, p, q), p, q, moves, grow_only
+                )
                 expected = Counter(
-                    sum(1 << (r - 1) * q + c - 1 for r, c in variant)
-                    for variant in reference_variants(
-                        skew_box_set(rep.lam, rep.mu, p, q), p, q, moves, grow_only
-                    )
+                    bitmask(v, q)
+                    for v in variants
+                    if moves == 1 or v == {(p + 1 - r, q + 1 - c) for r, c in v}
                 )
                 assert flipped == expected, f"{rep!r}"
 
@@ -253,11 +267,17 @@ def reference_index(kind, p, q):
 
 
 def reference_search(rep, grow_only=False, block=None, extra=()):
-    """The set-based search over reference_index, the reference for _search."""
+    """The set-based search over reference_index, the reference for _search:
+    it walks every change of one cell (two for O) given by
+    reference_variants, and with a block keeps the neighbors admitting flag 0
+    whose last rectangle is that block."""
     kind, p, q = rep.family.kind, rep.family.p, rep.family.q
     orth = kind == "O"
     index = reference_index("O" if orth else "U", p, q)
-    neighbors = _neighbors(rep.skew.cells, p, q, 2 if orth else 1, grow_only)
+    variants = reference_variants(
+        skew_box_set(rep.lam, rep.mu, p, q), p, q, 2 if orth else 1, grow_only
+    )
+    neighbors = (bitmask(cells, q) for cells in variants)
     found = [entries for entries in map(index.get, neighbors) if entries]
     if block is None:
         witnesses = {label for entries in found for label, _, _ in entries}
@@ -290,7 +310,7 @@ DUAL = {"U": isolated_U_search, "O": isolated_O, "Sp": isolated_Sp}
 
 @pytest.mark.parametrize("kind", ["U", "O", "Sp"])
 def test_search_matches_the_set_based_reference(kind):
-    for p, q in signatures(7):
+    for p, q in signatures(8):
         for rep in enumerate_reps(Family(kind, p, q)):
             block = rep.skew.rectangles[-1] if rep.flag == 0 else None
             assert DUAL[kind](rep) == reference_dual(rep), f"{rep!r}"
@@ -310,20 +330,6 @@ def test_verdict_digest_is_pinned():
                     count += 1
     assert count == 9412
     assert digest.hexdigest() == "98c7821e979da35c31599e68dcb63d94c5b26330cbad54dbd1e01ccc8edc649e"
-
-
-def test_only_flag_zero_searches_build_the_flag_zero_map(capsys):
-    _index.cache_clear()  # so that building an index is seen too
-    _flag_zero_index.cache_clear()
-    assert cli.main(["isolate", "U", "3", "3", "--lambda", "[1]", "--mu", "[2,1]"]) == 0
-    for kind in ("U", "O", "Sp"):
-        for rep in enumerate_reps(Family(kind, 3, 3)):
-            if rep.flag != 0:
-                DUAL[kind](rep)
-                isolated_d0(rep)
-    assert _flag_zero_index.cache_info().currsize == 0
-    isolated_Sp(trivial_rep(Family("Sp", 3, 3)))
-    assert _flag_zero_index.cache_info().currsize == 1
 
 
 class TestInequalities:

@@ -1,5 +1,6 @@
 """Integer polynomial arithmetic and Gaussian binomials."""
 
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -80,9 +81,25 @@ def test_gaussian_small_values():
 def test_gaussian_rejects_non_ints(n, k):
     gaussian_binomial(4, 2)
     gaussian_binomial(1, 1)
-    # the equal int arguments are cached, and still the check runs
+    # a float or bool equal to an int argument answered above is refused too
     with pytest.raises(DomainError, match="needs ints"):
         gaussian_binomial(n, k)
+
+
+@lru_cache(maxsize=None)
+def pascal_gaussian(n, k):
+    """[n, k] by the Pascal recurrence [n, k] = [n-1, k-1] + t^k [n-1, k]."""
+    if k < 0 or k > n:
+        return ZERO
+    if k == 0 or k == n:
+        return ONE
+    return pascal_gaussian(n - 1, k - 1) + pascal_gaussian(n - 1, k).shift(k)
+
+
+def test_gaussian_is_the_pascal_recurrence():
+    for n in range(30):
+        for k in range(-1, n + 2):
+            assert gaussian_binomial(n, k) == pascal_gaussian(n, k), (n, k)
 
 
 def test_gaussian_counts_at_one():

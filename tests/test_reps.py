@@ -395,6 +395,22 @@ def test_closed_product_never_runs_the_engine(monkeypatch):
         assert poincare_closed(trivial_rep(fam)).is_palindromic()
 
 
+def test_closed_product_past_its_bounds_is_refused(monkeypatch):
+    reps._closed_poincare.cache_clear()  # the bounds are checked on a miss
+    # U(2,2) trivial: degree 8 over one block of shorter side 2, work 16
+    monkeypatch.setattr(reps, "MAX_CLOSED_WORK", 16)
+    assert poincare_closed(trivial_rep(Family("U", 2, 2))).degree == 8
+    with pytest.raises(DomainError, match="has degree 12 over blocks whose shorter sides sum to 2;"):
+        poincare_closed(trivial_rep(Family("U", 2, 3)))
+    # U(1,8) trivial: degree 16, work 16, past the degree bound alone
+    monkeypatch.setattr(reps, "MAX_CLOSED_DEGREE", 15)
+    with pytest.raises(DomainError, match="has degree 16 over blocks whose shorter sides sum to 1;"):
+        poincare_closed(trivial_rep(Family("U", 1, 8)))
+    monkeypatch.undo()
+    with pytest.raises(DomainError, match="has degree 50562 "):
+        poincare_closed(trivial_rep(Family("U", 159, 159)))
+
+
 def test_real_center_block_4_4():
     # the closed Grassmannian product and the engine on SO(4) x SO(4)
     poly = grassmannian_poincare(4, 4)
