@@ -22,6 +22,7 @@ from . import __version__
 from .errors import CohomrepsError, InvariantViolation
 from .partitions import parse_partition
 from .reps import (
+    MEMO_SIZE,
     BracketNames,
     Family,
     block_tags,
@@ -176,8 +177,9 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
-# Rows per write of a streamed enumerate.
-_CHUNK = 2048
+# Rows per write of a streamed enumerate. A chunk, joined and then encoded,
+# is most of the peak memory of a long stream, so it stays small.
+_CHUNK = 512
 
 
 def _write_rows(head: str, rows, sep: str, tail: str, count: int) -> None:
@@ -216,9 +218,11 @@ def _json_list(xs, pad: str) -> str:
 
 class _RowLists(dict):
     """_json_list of a tuple at the indent of an enumerate row's fields,
-    formatted once per distinct tuple."""
+    formatted once per distinct tuple while the memo lasts (MEMO_SIZE)."""
 
     def __missing__(self, xs):
+        if len(self) >= MEMO_SIZE:
+            self.clear()
         text = self[xs] = _json_list(xs, "      ")
         return text
 

@@ -16,6 +16,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
     BoxOverflow,
+    DomainError,
     NotCompatible,
     NotNested,
     NotOrthogonal,
@@ -191,26 +192,35 @@ def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
             yield lam, mu[: p - mu.count(0)], SkewDecomposition(rects, cells)
 
 
-def count_pairs(p: int, q: int) -> tuple:
-    """(compatible pairs, those with lam_p = 0 < mu_p) of the p x q box,
-    counted without building any: a transfer sum of _follows over the rows
-    from (q, q). Entry [lo][hi] counts the partial pairs ending in the row
-    (lo, hi], which follows every row whose lam is at least hi, and itself
-    when lo < hi; prefix sums over lam make a step O(q^2)."""
+MAX_GRID_POINTS = 1_000_000  # sums (p + 1)(q + 1); 999 x 999 and 499 999 x 1 take about 1 s
+
+
+def _row_sums(p: int, q: int) -> tuple:
+    """The transfer of _follows over p rows from (q, q), in vectors of length
+    q + 1: at_least[x] counts the partial pairs whose last lam is at least x,
+    ending[hi] those ending in a row (lo, hi], lo < hi, the same for every lo,
+    as it follows each row whose lam is >= hi, or itself. DomainError past MAX_GRID_POINTS."""
     _check_box(p, q)
-    states = [[0] * (q + 1) for _ in range(q + 1)]
-    states[q][q] = 1
+    if (p + 1) * (q + 1) > MAX_GRID_POINTS:
+        raise DomainError(
+            f"counting over {p} rows of width {q} takes {(p + 1) * (q + 1)} sums, "
+            f"more than the {MAX_GRID_POINTS} that are run"
+        )
+    at_least, ending = [1] * (q + 1), [0] * (q + 1)
     for _ in range(p):
-        at_least, total = [0] * (q + 1), 0
-        for lo in range(q, -1, -1):
-            total += sum(states[lo])
-            at_least[lo] = total
-        states = [
-            [0] * lo + [at_least[lo]]
-            + [at_least[hi] + states[lo][hi] for hi in range(lo + 1, q + 1)]
-            for lo in range(q + 1)
-        ]
-    return sum(map(sum, states)), sum(states[0][1:])
+        ending = [0] + [a + e for a, e in zip(at_least[1:], ending[1:])]
+        total = longer = 0  # longer: the rows (x, hi] with hi > x
+        for x in range(q, -1, -1):
+            total += at_least[x] + longer  # at_least[x]: the empty row (x, x]
+            at_least[x] = total
+            longer += ending[x]
+    return at_least, ending
+
+
+def count_pairs(p: int, q: int) -> tuple:
+    """(compatible pairs, those with lam_p = 0 < mu_p) of the p x q box."""
+    at_least, ending = _row_sums(p, q)
+    return at_least[0], sum(ending)
 
 
 def is_compatible(lam: Partition, mu: Partition, p: int, q: int) -> bool:
@@ -298,27 +308,16 @@ def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
 
 
 def count_orthogonal(p: int, q: int) -> int:
-    """The orthogonal lam of the p x q box, counted without building any: a
-    transfer sum of _follows over the lower rows from the middle out, which
-    the upper rows mirror. A state (lo, up) is lam of a lower row and of its
-    mirror, so lo <= up, lo + up <= q and the skew row is (lo, q - up]. The
-    middle row (p odd) has lo = up; the middle pair (p even), (lo, q - up]
-    under (up, q - lo], follows iff lo = up or 2 up >= q. Further out,
-    (lo', q - up'] follows (lo, q - up] iff up' >= q - lo or it is the same
-    nonempty row; the order of lam adds up' >= up, and the bounds then give
-    lo' <= lo."""
+    """The orthogonal lam of the p x q box. Their skews are centrally
+    symmetric, so each is a compatible pair on its upper p // 2 rows plus a
+    middle that follows the last of them, (lo, hi], by _follows: for even p
+    its mirror (q - hi, q - lo], which does when 2 lo >= q, for odd p one of
+    the rows (x, q - x], 2x <= q, which does when q - x <= lo. Either middle
+    is (lo, hi) itself, continued, when lo + hi = q < 2 hi."""
     _check_box(p, q)
-    if p == 0:
-        return 1  # the empty lam
-    states = [(lo, up) for lo in range(q // 2 + 1) for up in range(lo, q - lo + 1)]
-    counts = [int(lo == up or p % 2 == 0 and 2 * up >= q) for lo, up in states]
-    for _ in range((p - 1) // 2):
-        reach = [0] * (q + 1)
-        for (lo, up), n in zip(states, counts):
-            for u in range(max(up, q - lo), q + 1):
-                reach[u] += n
-        counts = [reach[up] + (n if lo + up < q else 0) for (lo, up), n in zip(states, counts)]
-    return sum(counts)
+    at_least, ending = _row_sums(p // 2, q)
+    mid = (q + 1) // 2
+    return (sum(at_least[mid:]) if p % 2 else at_least[mid]) + sum(ending[q // 2 + 1 :])
 
 
 def is_orthogonal(lam: Partition, p: int, q: int) -> bool:

@@ -318,8 +318,16 @@ MAX_CLOSED_DEGREE = 50_000
 MAX_CLOSED_WORK = 10_000_000
 
 
-# One short polynomial per block tuple: 563 for p+q <= 9, 1 099 for p+q <= 10.
-# Past the bound an evicted product is rebuilt from the closed factors.
+# The cache holds one product per block tuple of degree at most
+# MAX_CACHED_DEGREE: 563 tuples for p+q <= 9, 1 099 for p+q <= 10, none of
+# them past degree 100. An entry has at most 513 coefficients, each below
+# 2^512 as they sum to at most 2^degree, so under 54 kB, and the 4 096
+# entries under 230 MB. A longer product (U(158,158) trivial holds 2.4 MiB)
+# is rebuilt on each call, in about 2 ms at degree 1 000; an evicted one is
+# rebuilt too.
+MAX_CACHED_DEGREE = 512
+
+
 @lru_cache(maxsize=4096)
 def _closed_poincare(tags) -> IntPoly:
     degree, sides = _module_dimension(tags), sum(min(a, b) for _, a, b in tags)
@@ -349,7 +357,9 @@ def poincare_closed(rep: CohRep) -> IntPoly:
     past MAX_CLOSED_DEGREE or MAX_CLOSED_WORK is refused with DomainError
     before any factor is built.
     """
-    return _closed_poincare(block_tags(rep)).shift(rep.R)
+    tags = block_tags(rep)
+    cached = _module_dimension(tags) <= MAX_CACHED_DEGREE
+    return (_closed_poincare if cached else _closed_poincare.__wrapped__)(tags).shift(rep.R)
 
 
 @lru_cache(maxsize=None)  # one short polynomial per module; 117 for p+q <= 8
@@ -377,11 +387,19 @@ def full_cohomology(rep: CohRep):
     return tuple((deg, c) for deg, c in enumerate(poincare_oracle(rep).coeffs) if c)
 
 
+# A formatting memo starts over when it holds this many entries, so a stream
+# of values that never repeat, such as the lam and mu of O, does not grow it.
+# U(7,7) and Sp(7,7) keep theirs: 3 432 partitions and as many rectangle lists.
+MEMO_SIZE = 1 << 13
+
+
 class BracketNames(dict):
-    """The bracket form of each partition looked up, formatted once; the
-    partitions are trusted to be canonical."""
+    """The bracket form of each partition looked up, formatted once while
+    the memo lasts (MEMO_SIZE); the partitions are trusted to be canonical."""
 
     def __missing__(self, lam):
+        if len(self) >= MEMO_SIZE:
+            self.clear()
         text = self[lam] = brackets(lam)
         return text
 

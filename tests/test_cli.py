@@ -66,20 +66,31 @@ def test_enumerate_json_is_json_dumps(capsys, kind):
         ]
 
 
+# The child reports its own peak RSS (VmHWM). Linux carries the parent's
+# RSS at fork into a child's ru_maxrss across exec, so os.wait4 would read
+# the size of the test process instead of the command's.
+_PEAK_CHILD = (
+    "import sys; from cohomreps.cli import main; code = main(sys.argv[1:]); "
+    "sys.stdout.flush(); status = open('/proc/self/status').read(); "
+    "sys.stderr.write(status.split('VmHWM:')[1].split()[0]); sys.exit(code)"
+)
+
+
 def max_rss_kb(*argv):
     """Peak RSS of a fresh CLI process whose output goes to devnull."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    argv = [sys.executable, "-m", "cohomreps.cli", *argv]
-    with subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=env) as proc:
-        _, status, usage = os.wait4(proc.pid, 0)
-        proc.returncode = os.waitstatus_to_exitcode(status)
+    argv = [sys.executable, "-c", _PEAK_CHILD, *argv]
+    proc = subprocess.run(argv, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, env=env)
     assert proc.returncode == 0
-    return usage.ru_maxrss
+    return int(proc.stderr)
 
 
 def test_enumerate_memory_does_not_grow_with_the_output():
-    # 44 910 rows, 17 MB of JSON, against the 3 rows of U(1,1)
-    assert max_rss_kb("enumerate", "U", "6", "6") - max_rss_kb("enumerate", "U", "1", "1") < 8 * 1024
+    # 44 910 rows, 17 MB of JSON, and 58 650 rows of O, whose partitions
+    # never repeat, 37 MB, against the 3 rows of U(1,1)
+    base = max_rss_kb("enumerate", "U", "1", "1")
+    for argv in [("enumerate", "U", "6", "6"), ("enumerate", "O", "12", "12")]:
+        assert max_rss_kb(*argv) - base < 8 * 1024, argv
 
 
 @pytest.mark.parametrize(
@@ -263,7 +274,9 @@ def test_prime_rank_degrees_answer_fast():
 
 
 # One input past each size bound that exits 3 before the work starts: the
-# closed product, the divisor walk of degrees and the exponents of restrict.
+# closed product, the divisor walk of degrees, the exponents of restrict,
+# the enumeration guard (a thin box counted exactly) and the row transfer
+# of the count.
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -271,8 +284,10 @@ def test_prime_rank_degrees_answer_fast():
         (("cohomology", "U", "300", "300", "--closed-only"), "has degree 180000"),
         (("degrees", "1000000000000000003", "1", "1000000000000000002"), "n=1000000000000000003"),
         (("restrict", "u(1,100000000)", "1"), "GL(100000000)"),
+        (("enumerate", "U", "1", "30000"), "U(1,30000) has 450045001 representations"),
+        (("enumerate", "U", "2000", "2000"), "takes 4004001 sums"),
     ],
-    ids=["cohomology", "cohomology-closed", "degrees", "restrict"],
+    ids=["cohomology", "cohomology-closed", "degrees", "restrict", "enumerate", "count"],
 )
 def test_oversized_inputs_exit_3_at_once(argv, message):
     proc = run_bounded(*argv, seconds=10)

@@ -298,6 +298,26 @@ def test_count_pairs_is_the_transfer_sum_of_the_row_rule():
             assert count_pairs(p, q) == (sum(states.values()), flag_zero), (p, q)
 
 
+def test_count_orthogonal_is_the_row_rule_on_the_upper_half():
+    # The skew of (lam, complement) is centrally symmetric: a compatible pair
+    # on its upper p // 2 rows, under a middle that follows the last of them,
+    # the mirror of that row for even p, a row (x, q - x] for odd p.
+    for q in range(11):
+        rows = [(lo, hi) for lo in range(q + 1) for hi in range(lo, q + 1)]
+        for p in range(11):
+            states = {(q, q): 1}
+            for _ in range(p // 2):
+                states = {
+                    row: sum(n for above, n in states.items() if _follows(above, row))
+                    for row in rows
+                }
+            count = 0
+            for (lo, hi), n in states.items():
+                middles = [(x, q - x) for x in range(q // 2 + 1)] if p % 2 else [(q - hi, q - lo)]
+                count += n * sum(_follows((lo, hi), mid) for mid in middles)
+            assert count_orthogonal(p, q) == count, (p, q)
+
+
 def test_counts_are_the_enumeration_lengths():
     for p in range(7):
         for q in range(7):

@@ -31,7 +31,7 @@ from cohomreps import (
 )
 from cohomreps import characters, group_and_module, invariant_poincare, partitions, reps
 from cohomreps.checks import run, signatures
-from cohomreps.polynomials import grassmannian_poincare
+from cohomreps.polynomials import gaussian_binomial, grassmannian_poincare
 from cohomreps.reps import FAMILIES
 
 
@@ -219,6 +219,18 @@ def test_orthogonal_enumeration_skips_the_box_scan(monkeypatch):
 )
 def test_count_reps_pins(kind, p, q, count):
     assert count_reps(Family(kind, p, q)) == count
+
+
+def test_thin_boxes_have_closed_counts():
+    for q in [*range(1, 200), 29_999, 30_000]:
+        assert count_reps(Family("U", 1, q)) == (q + 1) * (q + 2) // 2, q
+        assert count_reps(Family("O", 1, q)) == q // 2 + 1, q
+
+
+def test_orthogonal_count_of_the_doubled_box_is_the_symplectic_count():
+    for a in range(1, 21):
+        for b in range(1, 21):
+            assert count_reps(Family("O", 2 * a, 2 * b)) == count_reps(Family("Sp", a, b)), (a, b)
 
 
 def test_count_check_matches_enumeration():
@@ -409,6 +421,18 @@ def test_closed_product_past_its_bounds_is_refused(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(DomainError, match="has degree 50562 "):
         poincare_closed(trivial_rep(Family("U", 159, 159)))
+
+
+def test_closed_products_past_the_cached_degree_are_not_cached():
+    # U(16,16) trivial is one hermitian block of degree 512, U(16,17) of 544
+    reps._closed_poincare.cache_clear()
+    short, long = trivial_rep(Family("U", 16, 16)), trivial_rep(Family("U", 16, 17))
+    assert poincare_closed(short).degree == reps.MAX_CACHED_DEGREE == 512
+    assert reps._closed_poincare.cache_info().currsize == 1
+    for _ in range(2):
+        assert poincare_closed(long) == gaussian_binomial(33, 16).inflate(2).shift(long.R)
+    info = reps._closed_poincare.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (1, 0, 1)
 
 
 def test_real_center_block_4_4():
