@@ -23,7 +23,7 @@ _EXPORTS = {
     "prediction_modes_disagree rel_threshold_met repka_diagonal restrict_prediction rho "
     "rho_rank1 t_matrix",
     "isolation": "IsolationVerdict isolated_O isolated_Sp isolated_U_explicit isolated_U_search "
-    "isolated_d0 t1intro_inequalities",
+    "isolated_d0 t1intro_inequalities verdicts",
     "partitions": "OrthogonalDecomposition Rectangle SkewDecomposition canonical compatible_pairs "
     "complement conjugate contains count_orthogonal count_pairs enumerate_partitions_in_box "
     "format_partition is_compatible is_orthogonal orthogonal_decomposition orthogonal_partitions "

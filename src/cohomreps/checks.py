@@ -104,6 +104,25 @@ def sweep_isolation(max_pq: int):
             yield text_form(rep), agrees
 
 
+def sweep_decode(max_pq: int):
+    """The verdicts of `verdicts`, which decodes each neighbor mask, against
+    the searches over the group index, on every U, O and Sp rep; and the
+    closed witness count of each rep's own cell mask against the length of
+    its decoded list."""
+    from .isolation import decode, isolated_d0, isolated_O, isolated_Sp
+    from .isolation import isolated_U_explicit, isolated_U_search, verdicts, witness_count
+    from .reps import FAMILIES, Family, enumerate_reps, text_form
+
+    dual = {"U": isolated_U_search, "O": isolated_O, "Sp": isolated_Sp}
+    for kind in FAMILIES:
+        for p, q in signatures(max_pq):
+            for rep in enumerate_reps(Family(kind, p, q)):
+                explicit = isolated_U_explicit(rep) if kind == "U" else None
+                agrees = verdicts(rep) == (dual[kind](rep), explicit, isolated_d0(rep))
+                count = witness_count(kind, p, q, rep.skew.cells)
+                yield text_form(rep), agrees and count == len(decode(kind, p, q, rep.skew.cells))
+
+
 # Each check with its default scale: n for lemC, p+q (a+b for one block)
 # for the others.
 CHECKS = {
@@ -114,6 +133,7 @@ CHECKS = {
     "poincare": (sweep_poincare, 4),
     "t1intro": (sweep_t1intro, 9),
     "isolation": (sweep_isolation, 9),
+    "decode": (sweep_decode, 7),
 }
 
 

@@ -279,25 +279,15 @@ def _cmd_cohomology(args) -> int:
 
 
 def _cmd_isolate(args) -> int:
-    from .isolation import isolated_d0, isolated_O, isolated_Sp
-    from .isolation import isolated_U_explicit, isolated_U_search
+    from .isolation import verdicts
 
     rep = _rep_from_args(args)
-    kind = rep.family.kind
-    if kind == "U":
-        dual = isolated_U_search(rep)
-        explicit = isolated_U_explicit(rep)
-    elif kind == "O":
-        dual = isolated_O(rep)
-        explicit = None
-    else:
-        dual = isolated_Sp(rep)
-        explicit = None
+    dual, explicit, degree_zero = verdicts(rep)
     body = {
         "rep": text_form(rep),
         "unitary_dual": _verdict_json(dual),
         "explicit": None if explicit is None else _verdict_json(explicit),
-        "degree_zero": _verdict_json(isolated_d0(rep)),
+        "degree_zero": _verdict_json(degree_zero),
     }
     payload = _payload("isolate", _rep_inputs(args, rep), body)
     _emit(payload, args.format)

@@ -7,6 +7,10 @@ change symmetrically). Isolation among the parameters with invariant
 vectors at infinity ("degree zero" spectrum) only looks at enlargements of
 the cell set. In both cases the verdict carries the list of offending
 neighbor parameters, so an empty witness list is equivalent to isolation.
+The search reads the parameters carrying each neighbor cell set from an
+index of the whole group, which suits a sweep over its reps, or, in
+`verdicts`, decodes them from the cell set alone, which suits one query
+and enumerates nothing.
 
 The unitary family also has a closed-form criterion on the rectangles of
 the skew shape; it is implemented separately so the two can be compared.
@@ -15,10 +19,12 @@ the skew shape; it is implemented separately so the two can be compared.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations_with_replacement, product
+from math import comb, prod
 from typing import NamedTuple
 
 from .errors import DomainError, WrongFamily
+from .partitions import brackets, follows
 from .reps import BracketNames, CohRep, Family, enumerate_reps
 
 
@@ -53,11 +59,133 @@ def _flips(p: int, q: int, orth: bool) -> tuple:
     return tuple(1 << i for i in range(n))
 
 
-def _search(rep: CohRep, grow_only=False, extra=()) -> IsolationVerdict:
-    """Collect the parameters one flip away from `rep`; `extra` adds
-    condition strings. A flag-0 block (a, b) sits in rows p-a+1..p,
-    columns 1..b, and a neighbor keeps it and flag 0 when the flipped cell
-    lies above it and row p-a does not become a copy of its row."""
+# The witnesses a decoded search lists at most. They grow like 4^n: 12 012
+# sit next to the empty skew of U(7,7), 218 790 next to that of U(9,9) and
+# about 1.4e11 next to a one-cell skew of U(20,20). The two searches of the
+# empty skew of U(6,12), 74 256 witnesses each, take 0.8 s and 52 MB in a
+# fresh CLI process on 2 vCPUs.
+MAX_WITNESSES = 100_000
+
+# The boxes a decoded search takes on. It builds a mask of the pq cells for
+# each cell, (pq)^2 / 8 bytes in all, and reads the p rows of each, so past
+# MAX_CELLS cells or MAX_ROW_READS row reads (p * pq) it is refused before
+# any mask is built. At the bounds, U(100,100) and U(1000,1) with lam = mu
+# = () take 0.6 and 1.6 s and 40 MB in a fresh CLI process on 2 vCPUs.
+MAX_CELLS = 10_000
+MAX_ROW_READS = 1_000_000
+
+
+def _shape(kind: str, p: int, q: int, cells: int):
+    """The rows of every parameter whose skew has this cell bitmask, as
+    (rows, runs), or None when no parameter has it.
+
+    A nonempty row must be one interval, which fixes (lam_r, mu_r) =
+    rows[r]. An empty row (x, x] is None in rows, and a run (r, k, top,
+    bottom) of k of them from row r takes the weakly decreasing x with
+    bottom <= x <= top: top is lam of the row above, or q, and bottom mu of
+    the row below. Rows that touch must satisfy `follows`. An O cell set is
+    centrally symmetric and mu is the complement of lam, so O keeps its
+    upper p // 2 rows and, for odd p, its middle row (x, q - x]. Under the
+    last row kept lies a floor: the empty (0, 0] for U and odd p; for even
+    p the mirror of the last upper row, which for an empty (x, x] is
+    (q - x, q - x] and follows it when x >= (q + 1) // 2.
+    """
+    full, floor, rows = (1 << q) - 1, (0, 0), []
+    for r in range(p):
+        row = cells >> r * q & full
+        lo, hi = (row & -row).bit_length() - 1, row.bit_length()
+        if row and row != (1 << hi) - (1 << lo):
+            return None
+        rows.append((lo, hi) if row else None)
+    if kind == "O":
+        if rows != [row and (q - row[1], q - row[0]) for row in reversed(rows)]:
+            return None
+        half = p // 2
+        if p % 2 and rows[half] is None:  # an empty middle row is (q/2, q/2]
+            if q % 2:
+                return None
+            rows[half] = (q // 2, q // 2)
+        if not p % 2:
+            floor = rows[half] or ((q + 1) // 2,) * 2
+        rows = rows[: half + p % 2]
+    runs, above, start = [], (q, q), 0
+    for r, row in enumerate([*rows, floor]):
+        if row is None:
+            continue
+        if r > start:
+            if above[0] < row[1]:
+                return None
+            runs.append((start, r - start, above[0], row[1]))
+        elif not follows(above, row):
+            return None
+        above, start = row, r + 1
+    return rows, runs
+
+
+def _count(shape) -> int:
+    """The number of parameters a shape holds: a product of
+    C(top - bottom + k, k) over its runs of empty rows."""
+    return prod(comb(top - bottom + k, k) for _, k, top, bottom in shape[1]) if shape else 0
+
+
+def _labels(kind: str, p: int, q: int, shape) -> tuple:
+    """The sorted witness labels of the parameters a shape holds."""
+    if shape is None:
+        return ()
+    rows, runs = shape
+    lam, mu = [row[0] if row else 0 for row in rows], [row[1] if row else 0 for row in rows]
+    fills = [combinations_with_replacement(range(top, bottom - 1, -1), k) for _, k, top, bottom in runs]
+    labels = []
+    for xs in product(*fills):
+        for (start, k, _, _), run in zip(runs, xs):
+            lam[start : start + k] = mu[start : start + k] = run
+        if kind == "O":  # the lower rows mirror the upper ones
+            whole = lam + [q - x for x in reversed(mu[: p // 2])]
+            labels.append(f"A[{brackets([x for x in whole if x])}]")
+        else:
+            labels.append(f"A[{brackets([x for x in lam if x])}|{brackets([x for x in mu if x])}]")
+    return tuple(sorted(labels))
+
+
+def witness_count(kind: str, p: int, q: int, cells: int) -> int:
+    """The number of parameters of U(p,q), or of O(p,q) for kind "O", whose
+    skew has this cell bitmask, without listing them: a product of
+    C(top - bottom + k, k) over the runs of empty rows. Sp holds the pairs
+    of U."""
+    return _count(_shape(kind, p, q, cells))
+
+
+def decode(kind: str, p: int, q: int, cells: int) -> tuple:
+    """The sorted witness labels, A[lam|mu] or for O A[lam], of the
+    parameters whose skew has this cell bitmask; see witness_count."""
+    return _labels(kind, p, q, _shape(kind, p, q, cells))
+
+
+def _indexed(kind: str, p: int, q: int, masks) -> map:
+    """The witness labels of each mask, looked up in the group's index."""
+    return map(_index(kind, p, q).get, masks)
+
+
+def _decoded(kind: str, p: int, q: int, masks) -> list:
+    """The witness labels of each mask that some parameter carries, decoded
+    from the mask alone. Their number is summed first, and past
+    MAX_WITNESSES DomainError is raised before any label is built."""
+    shapes = [shape for shape in (_shape(kind, p, q, cells) for cells in masks) if shape]
+    count = sum(map(_count, shapes))
+    if count > MAX_WITNESSES:
+        raise DomainError(
+            f"the neighbors of this parameter carry {count} witnesses, more than "
+            f"the {MAX_WITNESSES} that a decoded search lists"
+        )
+    return [_labels(kind, p, q, shape) for shape in shapes]
+
+
+def _search(rep: CohRep, source, grow_only=False, extra=()) -> IsolationVerdict:
+    """Collect the parameters one flip away from `rep`, whose labels
+    `source` gives for each neighbor mask; `extra` adds condition
+    strings. A flag-0 block (a, b) sits in rows p-a+1..p, columns 1..b,
+    and a neighbor keeps it and flag 0 when the flipped cell lies above it
+    and row p-a does not become a copy of its row."""
     kind, p, q = rep.family
     orth, cells, flag0 = kind == "O", rep.skew.cells, rep.flag == 0
     flips = _flips(p, q, orth)
@@ -72,10 +200,9 @@ def _search(rep: CohRep, grow_only=False, extra=()) -> IsolationVerdict:
         neighbors = [cells | f for f in flips if not cells & f]
     else:
         neighbors = [cells ^ f for f in flips]
-    index = _index("O" if orth else "U", p, q)
     # A label belongs to one bitmask, so the runs of distinct neighbors are
     # disjoint, and sorting their concatenation merges the sorted runs.
-    runs = filter(None, map(index.get, neighbors))
+    runs = filter(None, source("O" if orth else "U", p, q, neighbors))
     if flag0:
         # no label is a prefix of another, so suffixed they stay sorted
         wits = [label + "_0" for label in sorted(chain.from_iterable(runs))]
@@ -95,7 +222,7 @@ def _require(rep: CohRep, kind: str) -> None:
 def isolated_U_search(rep: CohRep) -> IsolationVerdict:
     """Unitary-dual isolation by exhausting one-box neighbors."""
     _require(rep, "U")
-    return _search(rep)
+    return _search(rep, _indexed)
 
 
 def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
@@ -138,7 +265,7 @@ def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
 def isolated_O(rep: CohRep) -> IsolationVerdict:
     """Unitary-dual isolation for the orthogonal family (two-box search)."""
     _require(rep, "O")
-    return _search(rep)
+    return _search(rep, _indexed)
 
 
 def isolated_Sp(rep: CohRep) -> IsolationVerdict:
@@ -150,16 +277,21 @@ def isolated_Sp(rep: CohRep) -> IsolationVerdict:
     big enough on its own.
     """
     _require(rep, "Sp")
-    if rep.flag == 1:
-        return _search(rep)
-    a, b = rep.skew.rectangles[-1]
+    return _dual(rep, _indexed)
+
+
+def _dual(rep: CohRep, source) -> IsolationVerdict:
+    """The unitary-dual search of any family; a flag-0 block must also be
+    big enough on its own."""
     conds = ()
-    if a + b < 3:
-        conds = (
-            f"the quaternionic block is {a}x{b}; isolation needs its "
-            "side lengths to sum to at least 3",
-        )
-    return _search(rep, extra=conds)
+    if rep.flag == 0:
+        a, b = rep.skew.rectangles[-1]
+        if a + b < 3:
+            conds = (
+                f"the quaternionic block is {a}x{b}; isolation needs its "
+                "side lengths to sum to at least 3",
+            )
+    return _search(rep, source, extra=conds)
 
 
 def isolated_d0(rep: CohRep) -> IsolationVerdict:
@@ -168,7 +300,30 @@ def isolated_d0(rep: CohRep) -> IsolationVerdict:
     Only enlargements of the skew cell set matter here: one extra box for
     the unitary and quaternionic families, two for the orthogonal one.
     """
-    return _search(rep, grow_only=True)
+    return _search(rep, _indexed, grow_only=True)
+
+
+def verdicts(rep: CohRep) -> tuple:
+    """(unitary_dual, explicit, degree_zero) of one parameter: the verdicts
+    of isolated_U_search, isolated_O or isolated_Sp, of isolated_U_explicit
+    (None outside U) and of isolated_d0.
+
+    The searches decode each neighbor mask into the parameters carrying it
+    instead of indexing the whole group, so no group is enumerated; that
+    suits one query, and the functions above, which share an index per
+    group, suit a sweep. DomainError is raised for a box past MAX_CELLS or
+    MAX_ROW_READS, before any neighbor is built, and when a search would
+    list more than MAX_WITNESSES witnesses.
+    """
+    kind, p, q = rep.family
+    if p * q > MAX_CELLS or p * p * q > MAX_ROW_READS:
+        raise DomainError(
+            f"a decoded search of {kind}({p},{q}) flips {p * q} cells and reads "
+            f"{p * p * q} rows, more than the {MAX_CELLS} cells or "
+            f"{MAX_ROW_READS} rows that it takes on"
+        )
+    explicit = isolated_U_explicit(rep) if kind == "U" else None
+    return _dual(rep, _decoded), explicit, _search(rep, _decoded, grow_only=True)
 
 
 def t1intro_inequalities(p: int, q: int, r: int) -> bool:

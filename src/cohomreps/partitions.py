@@ -109,7 +109,7 @@ class SkewDecomposition(NamedTuple):
     cells: int
 
 
-def _follows(above: tuple, row: tuple) -> bool:
+def follows(above: tuple, row: tuple) -> bool:
     """The row rule of compatibility, stated only here: whether the skew row
     (lo, hi] = (lam_r, mu_r] may sit under the row above, (lam_(r-1),
     mu_(r-1)], row 0 being the virtual (q, q). It may if it ends where the
@@ -120,13 +120,13 @@ def _follows(above: tuple, row: tuple) -> bool:
 
 def _skew(lam_pad: tuple, mu_pad: tuple, q: int) -> SkewDecomposition:
     """The decomposition of mu/lam in a box of width q; NotCompatible at the
-    first row that does not follow the one above by _follows. Trusts its
+    first row that does not follow the one above by follows. Trusts its
     input: the rows are padded to the box height, and lam_pad is a
     partition contained in mu_pad. A nonempty row equal to the one above
     continues its rectangle; any other starts a new one."""
     rects, cells, above = [], 0, (q, q)
     for r, row in enumerate(zip(lam_pad, mu_pad)):
-        if not _follows(above, row):
+        if not follows(above, row):
             lam, mu, p = canonical(lam_pad), canonical(mu_pad), len(lam_pad)
             raise NotCompatible(
                 f"skew of ({lam}, {mu}) in {p}x{q}: rows {r} and {r + 1} "
@@ -162,7 +162,7 @@ def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
     """Every compatible pair in the p x q box as (lam, mu, decomposition).
 
     The pairs come in (lam, mu) lex order. For each lam, mu is built row by
-    row, and the loop is the rule of _follows solved for mu_r: lam_r <=
+    row, and the loop is the rule of follows solved for mu_r: lam_r <=
     mu_r <= lam_(r-1) (q for the first row), or mu_r = mu_(r-1), the
     rectangle above continued, when lam_r = lam_(r-1) < mu_(r-1). The empty
     row mu_r = lam_r always follows, so every partial mu completes: no
@@ -196,7 +196,7 @@ MAX_GRID_POINTS = 1_000_000  # sums (p + 1)(q + 1); 999 x 999 and 499 999 x 1 ta
 
 
 def _row_sums(p: int, q: int) -> tuple:
-    """The transfer of _follows over p rows from (q, q), in vectors of length
+    """The transfer of follows over p rows from (q, q), in vectors of length
     q + 1: at_least[x] counts the partial pairs whose last lam is at least x,
     ending[hi] those ending in a row (lo, hi], lo < hi, the same for every lo,
     as it follows each row whose lam is >= hi, or itself. DomainError past MAX_GRID_POINTS."""
@@ -259,15 +259,21 @@ def orthogonal_decomposition(lam: Partition, p: int, q: int) -> OrthogonalDecomp
     return _palindrome(lam, skew, p, q)
 
 
+# Each byte with its eight bits in reverse order, indexed by the byte.
+_REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _palindrome(
     lam: Partition, skew: SkewDecomposition, p: int, q: int
 ) -> OrthogonalDecomposition:
     # The skew of (lam, complement(lam)) is centrally symmetric: rotating
     # the box by 180 degrees reverses its p*q cell bits and the rectangle
     # list. Symmetry makes a failure here impossible; the check stays as a
-    # tripwire.
-    rects, cells, m = skew.rectangles, skew.cells, len(skew.rectangles)
-    if rects != rects[::-1] or cells != int(bin(cells)[2:].zfill(p * q)[::-1], 2):
+    # tripwire. The bits are reversed a byte at a time, through a table.
+    rects, cells, m, n = skew.rectangles, skew.cells, len(skew.rectangles), p * q
+    size = (n + 7) // 8
+    turned = int.from_bytes(cells.to_bytes(size, "little").translate(_REVERSED_BITS), "big")
+    if rects != rects[::-1] or cells != turned >> 8 * size - n:
         raise PalindromeViolation(f"decomposition of {lam} in {p}x{q} is not centrally symmetric")
     pairs = rects[: m // 2]
     center = tuple(rects[m // 2]) if m % 2 else (0, 0)
@@ -282,8 +288,7 @@ def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
     lam_i + lam_(p+1-i) <= q: a row past the middle is bounded by its
     mirror, the middle row by q // 2. By central symmetry the skew is
     compatible when its lower half is, so each lower row is kept only when
-    it follows the row above by _follows. The palindrome tripwire runs on
-    every result.
+    it follows the row above. The palindrome tripwire runs on every result.
     """
     _check_box(p, q)
     stack = [()]
@@ -299,18 +304,21 @@ def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
         top = lam[-1] if i else q
         if 2 * i + 1 >= p:
             top = min(top, q - lam[p - 1 - i] if 2 * i + 1 > p else q // 2)
-        kids = [lam + (x,) for x in range(top, -1, -1)]
-        if i and 2 * i >= p:
-            a, d = lam[i - 1], q - lam[p - 1 - i]
-            if a < d:
-                kids = [k for k in kids if _follows((a, q - k[p - i]), (k[i], d))]
-        stack.extend(kids)
+        if i and 2 * i >= p and lam[i - 1] < q - lam[p - 1 - i]:
+            # the new row (x, q - lam[p-1-i]] ends right of where the row
+            # above starts, so only that row continued can follow it:
+            # x = lam[i-1], kept if the two rows are the same
+            kid = lam + (lam[i - 1],)
+            above, row = (kid[i - 1], q - kid[p - i]), (kid[i], q - kid[p - 1 - i])
+            stack += [kid] if follows(above, row) else []
+        else:
+            stack += [lam + (x,) for x in range(top, -1, -1)]
 
 
 def count_orthogonal(p: int, q: int) -> int:
     """The orthogonal lam of the p x q box. Their skews are centrally
     symmetric, so each is a compatible pair on its upper p // 2 rows plus a
-    middle that follows the last of them, (lo, hi], by _follows: for even p
+    middle that follows the last of them, (lo, hi], by follows: for even p
     its mirror (q - hi, q - lo], which does when 2 lo >= q, for odd p one of
     the rows (x, q - x], 2x <= q, which does when q - x <= lo. Either middle
     is (lo, hi) itself, continued, when lo + hi = q < 2 hi."""

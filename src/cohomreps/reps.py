@@ -20,7 +20,7 @@ from __future__ import annotations
 import gc
 from collections import namedtuple
 from functools import lru_cache
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import DomainError, InvariantViolation, NotOrthogonal, WrongFamily
 from .partitions import (
@@ -36,7 +36,9 @@ from .partitions import (
     orthogonal_partitions,
     rectangle_decomposition,
 )
-from .polynomials import ONE, IntPoly, times_gaussian, times_grassmannian
+
+if TYPE_CHECKING:  # polynomials is loaded when a closed product is built
+    from .polynomials import IntPoly
 
 FAMILIES = ("U", "O", "Sp")
 
@@ -337,6 +339,8 @@ def _closed_poincare(tags) -> IntPoly:
             f"sides sum to {sides}; it is built up to degree {MAX_CLOSED_DEGREE} "
             f"and degree times sides {MAX_CLOSED_WORK}"
         )
+    from .polynomials import ONE, times_gaussian, times_grassmannian
+
     poly = ONE
     for style, a, b in tags:
         if style == "real":

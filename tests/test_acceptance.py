@@ -108,6 +108,13 @@ def test_criterion_4_explicit_isolation_equals_search():
     assert result["cases"] == 32483
 
 
+def test_criterion_4_decoded_verdicts_equal_the_indexed_ones():
+    # every U, O and Sp rep with p+q <= 7, Sp flag 0 included
+    result = run("decode")
+    assert result["mismatches"] == []
+    assert (result["scale"], result["cases"]) == (7, 3336)
+
+
 # 5. smallest positive degree equals the family threshold -------------------
 
 VANISHING_EXCEPTIONS = {("O", 1, 1), ("O", 2, 2), ("Sp", 1, 1)}

@@ -8,6 +8,7 @@ import resource
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -112,7 +113,15 @@ def test_oversized_group_exits_3_before_any_output(argv, family):
     doc = json.loads(proc.stdout)
     assert proc.stdout.decode() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert doc["error"]["type"] == "DomainError"
-    assert str(count_reps(Family(*family))) in doc["error"]["message"]
+    _, p, q = family
+    if argv[0] == "isolate":
+        # refused for its witnesses, not its group: flipping the one cell
+        # (1, 1) leaves the empty skew, which the C(p + q, p) pairs lam = mu
+        # carry, and growing it to (1, 2) or to (2, 1) gives one pair each
+        expected = comb(p + q, p) + 2
+    else:
+        expected = count_reps(Family(*family))
+    assert str(expected) in doc["error"]["message"]
 
 
 def test_enumerate_tsv(capsys):
@@ -275,8 +284,8 @@ def test_prime_rank_degrees_answer_fast():
 
 # One input past each size bound that exits 3 before the work starts: the
 # closed product, the divisor walk of degrees, the exponents of restrict,
-# the enumeration guard (a thin box counted exactly) and the row transfer
-# of the count.
+# the enumeration guard (a thin box counted exactly), the row transfer
+# of the count and the cells and row reads of a decoded isolation search.
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -286,8 +295,17 @@ def test_prime_rank_degrees_answer_fast():
         (("restrict", "u(1,100000000)", "1"), "GL(100000000)"),
         (("enumerate", "U", "1", "30000"), "U(1,30000) has 450045001 representations"),
         (("enumerate", "U", "2000", "2000"), "takes 4004001 sums"),
+        (("isolate", "U", "300", "300"), "flips 90000 cells and reads 27000000 rows"),
+        (
+            ("isolate", "U", "1", "1000000", "--lambda", "[]", "--mu", "[]"),
+            "flips 1000000 cells and reads 1000000 rows",
+        ),
+        (("isolate", "U", "1001", "1"), "flips 1001 cells and reads 1002001 rows"),
     ],
-    ids=["cohomology", "cohomology-closed", "degrees", "restrict", "enumerate", "count"],
+    ids=[
+        "cohomology", "cohomology-closed", "degrees", "restrict", "enumerate", "count",
+        "isolate-cells", "isolate-wide", "isolate-rows",
+    ],
 )
 def test_oversized_inputs_exit_3_at_once(argv, message):
     proc = run_bounded(*argv, seconds=10)
@@ -335,6 +353,7 @@ def test_restrict_top_mode(capsys):
         ("verify", "all", "--max-n", "6", "--max-pq", "5"),
         ("verify", "poincare", "--max-pq", "4"),
         ("verify", "count", "--max-pq", "6"),
+        ("verify", "decode", "--max-pq", "5"),
     ],
 )
 def test_verify_passes(capsys, argv):

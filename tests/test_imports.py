@@ -38,7 +38,7 @@ PUBLIC = [
     "rectangle_decomposition", "rel_threshold_met", "relth_coverage",
     "repka_diagonal", "reps", "restrict_prediction", "rho", "rho_rank1",
     "skew_box_set", "standard_weights", "t1intro_inequalities", "t_matrix",
-    "text_form", "trivial_rep",
+    "text_form", "trivial_rep", "verdicts",
 ]
 
 
@@ -72,7 +72,7 @@ def test_no_module_imports_dataclasses():
 
 
 def test_public_names_resolve_lazily():
-    assert len(PUBLIC) == 92
+    assert len(PUBLIC) == 93
     assert cohomreps.__all__ == PUBLIC
     assert set(PUBLIC) <= set(dir(cohomreps))
     for name in PUBLIC:
@@ -96,22 +96,39 @@ UNUSED = [
 ]
 
 
-# enumerate never reaches the Weyl-integration engine either.
+# Only cohomology builds a polynomial or runs the Weyl-integration engine;
+# a one-shot isolate decodes its neighbors, so it neither enumerates the
+# group nor builds its index.
+COHOMOLOGY_ONLY = ["cohomreps.characters", "cohomreps.polynomials"]
+
+
 @pytest.mark.parametrize(
-    "command, unused",
-    [("cohomology", UNUSED), ("enumerate", [*UNUSED, "cohomreps.characters"])],
-    ids=["cohomology", "enumerate"],
+    "command, unused, empty_caches",
+    [
+        ("cohomology", UNUSED, []),
+        ("enumerate", [*UNUSED, *COHOMOLOGY_ONLY], []),
+        (
+            "isolate",
+            [m for m in [*UNUSED, *COHOMOLOGY_ONLY] if m != "cohomreps.isolation"],
+            ["reps._enumerate_cached", "isolation._index"],
+        ),
+        ("coverage", [m for m in [*UNUSED, *COHOMOLOGY_ONLY] if m != "cohomreps.autdegrees"], []),
+    ],
+    ids=["cohomology", "enumerate", "isolate", "coverage"],
 )
-def test_subcommand_loads_only_what_it_uses(command, unused):
+def test_subcommand_loads_only_what_it_uses(command, unused, empty_caches):
     code = (
         "import contextlib, io, json, sys\n"
         "from cohomreps import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = cli.main([{command!r}, 'U', '2', '2'])\n"
-        f"print(json.dumps([code, [m for m in {unused!r} if m in sys.modules]]))\n"
+        f"loaded = [m for m in {unused!r} if m in sys.modules]\n"
+        "from cohomreps import isolation, reps\n"
+        f"filled = [c for c in {empty_caches!r} if eval(c).cache_info().currsize]\n"
+        "print(json.dumps([code, loaded, filled]))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, env=env, timeout=60, check=True
     )
-    assert json.loads(proc.stdout) == [0, []]
+    assert json.loads(proc.stdout) == [0, [], []]

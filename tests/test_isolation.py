@@ -26,8 +26,9 @@ from cohomreps import (
     text_form,
     trivial_rep,
 )
+from cohomreps import isolation
 from cohomreps.checks import run, signatures
-from cohomreps.isolation import _flips
+from cohomreps.isolation import _flips, decode, verdicts, witness_count
 from cohomreps.reps import BracketNames
 
 
@@ -330,6 +331,61 @@ def test_verdict_digest_is_pinned():
                     count += 1
     assert count == 9412
     assert digest.hexdigest() == "98c7821e979da35c31599e68dcb63d94c5b26330cbad54dbd1e01ccc8edc649e"
+
+
+@pytest.mark.parametrize("kind", ["U", "O"])
+def test_decode_lists_the_pairs_of_every_cell_mask(kind):
+    # every bitmask of each box with p*q <= 12, not only the neighbor masks,
+    # against the labels of the enumerated reps grouped by cell set
+    names, checked = BracketNames(), 0
+    for p, q in signatures(8):
+        if p * q > 12:
+            continue
+        carried = {}
+        for rep in enumerate_reps(Family(kind, p, q)):
+            body = names[rep.lam] if kind == "O" else f"{names[rep.lam]}|{names[rep.mu]}"
+            carried.setdefault(rep.skew.cells, []).append(f"A[{body}]")
+        for cells in range(1 << p * q):
+            labels = tuple(sorted(carried.get(cells, ())))
+            assert decode(kind, p, q, cells) == labels, (p, q, bin(cells))
+            assert witness_count(kind, p, q, cells) == len(labels), (p, q, bin(cells))
+            checked += 1
+    assert checked == 20106
+
+
+def test_witness_guard_counts_before_listing(monkeypatch):
+    # the empty skew of U(7,7) has 12 012 witnesses, one per pair lam = mu
+    # next to one of its cells
+    rep = make_rep(Family("U", 7, 7), (7,) * 7, (7,) * 7)
+    monkeypatch.setattr(isolation, "MAX_WITNESSES", 12012)
+    dual, _, degree_zero = verdicts(rep)
+    assert len(dual.witnesses) == 12012 and degree_zero == dual
+    monkeypatch.setattr(isolation, "MAX_WITNESSES", 12011)
+    with pytest.raises(DomainError, match="carry 12012 witnesses, more than the 12011"):
+        verdicts(rep)
+
+
+@pytest.mark.parametrize("p, q", [(101, 100), (1001, 1), (1, 10001)])
+def test_box_guard_refuses_before_any_neighbor_is_built(p, q):
+    # past 10 000 cells or 10^6 row reads (p rows of each of pq masks)
+    before = _flips.cache_info().currsize
+    with pytest.raises(DomainError, match=f"flips {p * q} cells and reads {p * p * q} rows"):
+        verdicts(make_rep(Family("U", p, q), (), ()))
+    assert _flips.cache_info().currsize == before
+
+
+def test_one_shot_verdicts_reach_past_the_enumeration_guard():
+    # U(20,20) has about 1.2e17 reps. Its trivial rep has no neighbor. The
+    # skew of (), (2,) is the cells (1,1) and (1,2): dropping (1,2) leaves
+    # one pair, dropping (1,1) leaves the row (1,2] over 19 empty rows at 0
+    # or 1, which 20 pairs carry, and adding (1,3) gives one more pair.
+    family = Family("U", 20, 20)
+    dual, explicit, degree_zero = verdicts(trivial_rep(family))
+    assert dual.isolated and explicit.isolated and degree_zero.isolated
+    dual, explicit, degree_zero = verdicts(make_rep(family, (), (2,)))
+    assert not dual.isolated and not explicit.isolated
+    assert len(dual.witnesses) == 22 and "A[[]|[1]]" in dual.witnesses
+    assert degree_zero.witnesses == ("A[[]|[3]]",)
 
 
 class TestInequalities:

@@ -32,7 +32,7 @@ from cohomreps import (
     skew_box_set,
 )
 from cohomreps.checks import signatures
-from cohomreps.partitions import _follows, _palindrome, fits_in_box
+from cohomreps.partitions import _palindrome, fits_in_box, follows
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -263,7 +263,7 @@ def test_predicates_raise_on_malformed_input(call):
 
 
 def rule_pairs(p, q):
-    """Every (lam, mu) of the p x q box, by a row DFS over _follows alone."""
+    """Every (lam, mu) of the p x q box, by a row DFS over follows alone."""
     found, stack = [], [((), (), (q, q))]
     while stack:
         lam, mu, above = stack.pop()
@@ -272,7 +272,7 @@ def rule_pairs(p, q):
             continue
         for lo in range(q + 1):
             for hi in range(lo, q + 1):
-                if _follows(above, (lo, hi)):
+                if follows(above, (lo, hi)):
                     stack.append((lam + (lo,), mu + (hi,), (lo, hi)))
     return sorted(found)
 
@@ -291,7 +291,7 @@ def test_count_pairs_is_the_transfer_sum_of_the_row_rule():
             states = {(q, q): 1}
             for _ in range(p):
                 states = {
-                    row: sum(n for above, n in states.items() if _follows(above, row))
+                    row: sum(n for above, n in states.items() if follows(above, row))
                     for row in rows
                 }
             flag_zero = sum(n for (lo, hi), n in states.items() if lo == 0 < hi)
@@ -308,13 +308,13 @@ def test_count_orthogonal_is_the_row_rule_on_the_upper_half():
             states = {(q, q): 1}
             for _ in range(p // 2):
                 states = {
-                    row: sum(n for above, n in states.items() if _follows(above, row))
+                    row: sum(n for above, n in states.items() if follows(above, row))
                     for row in rows
                 }
             count = 0
             for (lo, hi), n in states.items():
                 middles = [(x, q - x) for x in range(q // 2 + 1)] if p % 2 else [(q - hi, q - lo)]
-                count += n * sum(_follows((lo, hi), mid) for mid in middles)
+                count += n * sum(follows((lo, hi), mid) for mid in middles)
             assert count_orthogonal(p, q) == count, (p, q)
 
 
