@@ -15,16 +15,16 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import CohomrepsError, InvariantViolation
-from .partitions import parse_partition
+from .partitions import brackets, parse_partition
 from .reps import (
-    MEMO_SIZE,
-    BracketNames,
     Family,
+    Memo,
     block_tags,
     count_reps,
     hodge_type,
@@ -200,7 +200,7 @@ def _write_rows(head: str, rows, sep: str, tail: str, count: int) -> None:
 
 
 def _tsv_rows(reps):
-    names = BracketNames()
+    names = Memo(brackets)
     for rep in reps:
         flag = "-" if rep.flag is None else rep.flag
         yield f"{text_form(rep, names)}\t{list(rep.lam)}\t{list(rep.mu)}\t{flag}\t{rep.R}"
@@ -214,17 +214,6 @@ def _json_list(xs, pad: str) -> str:
     inner = pad + "  "
     items = [inner + (_json_list(x, inner) if type(x) is not int else str(x)) for x in xs]
     return "[\n" + ",\n".join(items) + f"\n{pad}]"
-
-
-class _RowLists(dict):
-    """_json_list of a tuple at the indent of an enumerate row's fields,
-    formatted once per distinct tuple while the memo lasts (MEMO_SIZE)."""
-
-    def __missing__(self, xs):
-        if len(self) >= MEMO_SIZE:
-            self.clear()
-        text = self[xs] = _json_list(xs, "      ")
-        return text
 
 
 def _enumerate_frame(args, count: int):
@@ -244,7 +233,8 @@ def _enumerate_frame(args, count: int):
 def _json_rows(reps):
     """Each rep as its row of the enumerate document, from list and
     partition strings formatted once per distinct value."""
-    lists, names = _RowLists(), BracketNames()
+    # _json_list at the indent of a row's fields, once per distinct tuple
+    lists, names = Memo(partial(_json_list, pad="      ")), Memo(brackets)
     for rep in reps:
         text = text_form(rep, names)
         yield (

@@ -7,10 +7,11 @@ change symmetrically). Isolation among the parameters with invariant
 vectors at infinity ("degree zero" spectrum) only looks at enlargements of
 the cell set. In both cases the verdict carries the list of offending
 neighbor parameters, so an empty witness list is equivalent to isolation.
-The search reads the parameters carrying each neighbor cell set from an
-index of the whole group, which suits a sweep over its reps, or, in
-`verdicts`, decodes them from the cell set alone, which suits one query
-and enumerates nothing.
+The search reads the parameters carrying each neighbor cell set from one
+map of cell sets to witnesses: the index of the whole group, which suits a
+sweep over its reps, or, in `verdicts`, the neighbors of one parameter
+decoded once from their cell sets, which suits one query and enumerates
+nothing.
 
 The unitary family also has a closed-form criterion on the rectangles of
 the skew shape; it is implemented separately so the two can be compared.
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, WrongFamily
 from .partitions import brackets, follows
-from .reps import BracketNames, CohRep, Family, enumerate_reps
+from .reps import CohRep, Family, Memo, enumerate_reps
 
 
 class IsolationVerdict(NamedTuple):
@@ -39,7 +40,7 @@ def _index(kind: str, p: int, q: int):
     """Map each skew cell bitmask to the sorted witness labels of the
     group's parameters carrying it; the quaternionic family searches the
     unitary index, which holds the same pairs."""
-    index, names = {}, BracketNames()
+    index, names = {}, Memo(brackets)
     for rep in enumerate_reps(Family(kind, p, q)):
         lam = names[rep.lam]
         body = lam if kind == "O" else f"{lam}|{names[rep.mu]}"
@@ -47,7 +48,16 @@ def _index(kind: str, p: int, q: int):
     return {k: tuple(sorted(v)) for k, v in index.items()}
 
 
-@lru_cache(maxsize=None)  # one short tuple per box and family, like _index
+# _flips caches the boxes of at most this many cells, which holds every box
+# of a sweep with p+q <= 10 (25 cells at most). An entry is a tuple of pq
+# masks of up to pq bits, at most 5.5 kB at 128 cells, and the 645 boxes
+# under the bound take under 3 MB for both families together. A larger box,
+# such as the 10^4 cells a decoded search takes on (7 MB), is rebuilt on
+# each call, in a few ms.
+MAX_CACHED_CELLS = 128
+
+
+@lru_cache(maxsize=None)  # boxes past MAX_CACHED_CELLS call __wrapped__
 def _flips(p: int, q: int, orth: bool) -> tuple:
     """Bitmasks of each cell of the p x q box, or for O of each pair of
     cells mirrored through its centre: an O cell set is centrally
@@ -61,16 +71,16 @@ def _flips(p: int, q: int, orth: bool) -> tuple:
 
 # The witnesses a decoded search lists at most. They grow like 4^n: 12 012
 # sit next to the empty skew of U(7,7), 218 790 next to that of U(9,9) and
-# about 1.4e11 next to a one-cell skew of U(20,20). The two searches of the
-# empty skew of U(6,12), 74 256 witnesses each, take 0.8 s and 52 MB in a
-# fresh CLI process on 2 vCPUs.
+# about 1.4e11 next to a one-cell skew of U(20,20). The 74 256 next to the
+# empty skew of U(6,12), listed once for both searches, take 0.7 s and 46 MB
+# in a fresh CLI process on 2 vCPUs.
 MAX_WITNESSES = 100_000
 
 # The boxes a decoded search takes on. It builds a mask of the pq cells for
-# each cell, (pq)^2 / 8 bytes in all, and reads the p rows of each, so past
+# each cell, (pq)^2 / 8 bytes a list, and reads the p rows of each, so past
 # MAX_CELLS cells or MAX_ROW_READS row reads (p * pq) it is refused before
 # any mask is built. At the bounds, U(100,100) and U(1000,1) with lam = mu
-# = () take 0.6 and 1.6 s and 40 MB in a fresh CLI process on 2 vCPUs.
+# = () take 0.5 and 0.7 s and 36 MB in a fresh CLI process on 2 vCPUs.
 MAX_CELLS = 10_000
 MAX_ROW_READS = 1_000_000
 
@@ -161,35 +171,15 @@ def decode(kind: str, p: int, q: int, cells: int) -> tuple:
     return _labels(kind, p, q, _shape(kind, p, q, cells))
 
 
-def _indexed(kind: str, p: int, q: int, masks) -> map:
-    """The witness labels of each mask, looked up in the group's index."""
-    return map(_index(kind, p, q).get, masks)
-
-
-def _decoded(kind: str, p: int, q: int, masks) -> list:
-    """The witness labels of each mask that some parameter carries, decoded
-    from the mask alone. Their number is summed first, and past
-    MAX_WITNESSES DomainError is raised before any label is built."""
-    shapes = [shape for shape in (_shape(kind, p, q, cells) for cells in masks) if shape]
-    count = sum(map(_count, shapes))
-    if count > MAX_WITNESSES:
-        raise DomainError(
-            f"the neighbors of this parameter carry {count} witnesses, more than "
-            f"the {MAX_WITNESSES} that a decoded search lists"
-        )
-    return [_labels(kind, p, q, shape) for shape in shapes]
-
-
-def _search(rep: CohRep, source, grow_only=False, extra=()) -> IsolationVerdict:
-    """Collect the parameters one flip away from `rep`, whose labels
-    `source` gives for each neighbor mask; `extra` adds condition
-    strings. A flag-0 block (a, b) sits in rows p-a+1..p, columns 1..b,
-    and a neighbor keeps it and flag 0 when the flipped cell lies above it
-    and row p-a does not become a copy of its row."""
+def _neighbors(rep: CohRep, grow_only: bool) -> list:
+    """The cell masks one flip away from `rep`'s, only those that add cells
+    if `grow_only`. A flag-0 block (a, b) sits in rows p-a+1..p, columns
+    1..b, and a neighbor keeps it and flag 0 when the flipped cell lies
+    above it and row p-a does not become a copy of its row."""
     kind, p, q = rep.family
-    orth, cells, flag0 = kind == "O", rep.skew.cells, rep.flag == 0
-    flips = _flips(p, q, orth)
-    if flag0:
+    cells = rep.skew.cells
+    flips = (_flips if p * q <= MAX_CACHED_CELLS else _flips.__wrapped__)(p, q, kind == "O")
+    if rep.flag == 0:
         a, b = rep.skew.rectangles[-1]
         top = (p - a) * q  # bit of the block's first cell
         above = max(top - q, 0)  # row p - a; no flip is left if a = p
@@ -197,21 +187,28 @@ def _search(rep: CohRep, source, grow_only=False, extra=()) -> IsolationVerdict:
         copy = (cells & ((1 << q) - 1) << above) ^ ((1 << b) - 1) << above
         flips = [f for f in flips[:top] if f != copy]
     if grow_only:
-        neighbors = [cells | f for f in flips if not cells & f]
-    else:
-        neighbors = [cells ^ f for f in flips]
+        return [cells | f for f in flips if not cells & f]
+    return [cells ^ f for f in flips]
+
+
+def _search(rep: CohRep, witnesses, grow_only=False) -> IsolationVerdict:
+    """Collect the parameters one flip away from `rep`, reading the sorted
+    labels of each neighbor mask from `witnesses`. The unitary-dual search
+    of a flag-0 parameter also needs its block big enough on its own."""
     # A label belongs to one bitmask, so the runs of distinct neighbors are
     # disjoint, and sorting their concatenation merges the sorted runs.
-    runs = filter(None, source("O" if orth else "U", p, q, neighbors))
-    if flag0:
+    runs = filter(None, map(witnesses.get, _neighbors(rep, grow_only)))
+    wits = sorted(chain.from_iterable(runs))
+    if rep.flag == 0:
         # no label is a prefix of another, so suffixed they stay sorted
-        wits = [label + "_0" for label in sorted(chain.from_iterable(runs))]
-        wits = tuple(sorted(chain(wits, extra)) if extra else wits)
-    else:
-        # chain(*runs) alone, which builds its argument tuple straight from
-        # the filter, raised the peak RSS of a warm survey pass by 1.9 MB
-        wits = tuple(sorted(chain(extra, *runs)))
-    return IsolationVerdict(not wits, wits, "search")
+        wits = [label + "_0" for label in wits]
+        a, b = rep.skew.rectangles[-1]
+        if not grow_only and a + b < 3:  # after the labels, which start "A["
+            wits.append(
+                f"the quaternionic block is {a}x{b}; isolation needs its side "
+                "lengths to sum to at least 3"
+            )
+    return IsolationVerdict(not wits, tuple(wits), "search")
 
 
 def _require(rep: CohRep, kind: str) -> None:
@@ -222,7 +219,7 @@ def _require(rep: CohRep, kind: str) -> None:
 def isolated_U_search(rep: CohRep) -> IsolationVerdict:
     """Unitary-dual isolation by exhausting one-box neighbors."""
     _require(rep, "U")
-    return _search(rep, _indexed)
+    return _search(rep, _index("U", rep.family.p, rep.family.q))
 
 
 def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
@@ -265,7 +262,7 @@ def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
 def isolated_O(rep: CohRep) -> IsolationVerdict:
     """Unitary-dual isolation for the orthogonal family (two-box search)."""
     _require(rep, "O")
-    return _search(rep, _indexed)
+    return _search(rep, _index("O", rep.family.p, rep.family.q))
 
 
 def isolated_Sp(rep: CohRep) -> IsolationVerdict:
@@ -277,21 +274,7 @@ def isolated_Sp(rep: CohRep) -> IsolationVerdict:
     big enough on its own.
     """
     _require(rep, "Sp")
-    return _dual(rep, _indexed)
-
-
-def _dual(rep: CohRep, source) -> IsolationVerdict:
-    """The unitary-dual search of any family; a flag-0 block must also be
-    big enough on its own."""
-    conds = ()
-    if rep.flag == 0:
-        a, b = rep.skew.rectangles[-1]
-        if a + b < 3:
-            conds = (
-                f"the quaternionic block is {a}x{b}; isolation needs its "
-                "side lengths to sum to at least 3",
-            )
-    return _search(rep, source, extra=conds)
+    return _search(rep, _index("U", rep.family.p, rep.family.q))
 
 
 def isolated_d0(rep: CohRep) -> IsolationVerdict:
@@ -300,7 +283,8 @@ def isolated_d0(rep: CohRep) -> IsolationVerdict:
     Only enlargements of the skew cell set matter here: one extra box for
     the unitary and quaternionic families, two for the orthogonal one.
     """
-    return _search(rep, _indexed, grow_only=True)
+    kind, p, q = rep.family
+    return _search(rep, _index("O" if kind == "O" else "U", p, q), grow_only=True)
 
 
 def verdicts(rep: CohRep) -> tuple:
@@ -308,12 +292,13 @@ def verdicts(rep: CohRep) -> tuple:
     of isolated_U_search, isolated_O or isolated_Sp, of isolated_U_explicit
     (None outside U) and of isolated_d0.
 
-    The searches decode each neighbor mask into the parameters carrying it
-    instead of indexing the whole group, so no group is enumerated; that
-    suits one query, and the functions above, which share an index per
-    group, suit a sweep. DomainError is raised for a box past MAX_CELLS or
-    MAX_ROW_READS, before any neighbor is built, and when a search would
-    list more than MAX_WITNESSES witnesses.
+    Both searches read one map of the parameters carrying each neighbor
+    mask, decoded once from the masks (those that add cells are among the
+    others) instead of indexed over the whole group, so no group is
+    enumerated; that suits one query, and the functions above, which share
+    an index per group, suit a sweep. DomainError is raised for a box past
+    MAX_CELLS or MAX_ROW_READS, before any neighbor is built, and when the
+    neighbors carry more than MAX_WITNESSES witnesses, before any is listed.
     """
     kind, p, q = rep.family
     if p * q > MAX_CELLS or p * p * q > MAX_ROW_READS:
@@ -322,8 +307,20 @@ def verdicts(rep: CohRep) -> tuple:
             f"{p * p * q} rows, more than the {MAX_CELLS} cells or "
             f"{MAX_ROW_READS} rows that it takes on"
         )
+    shapes = ((cells, _shape(kind, p, q, cells)) for cells in _neighbors(rep, False))
+    carried = [(cells, shape) for cells, shape in shapes if shape]
+    count = sum(_count(shape) for _, shape in carried)
+    if count > MAX_WITNESSES:
+        raise DomainError(
+            f"the neighbors of this parameter carry {count} witnesses, more than "
+            f"the {MAX_WITNESSES} that a decoded search lists"
+        )
+    # Only the masks that some parameter carries are keys, and only past the
+    # guard: the masks of a big box share few hashes, as 2^k and 2^(k + 61)
+    # hash alike, so a dict of many of them probes long chains.
+    witnesses = {cells: _labels(kind, p, q, shape) for cells, shape in carried}
     explicit = isolated_U_explicit(rep) if kind == "U" else None
-    return _dual(rep, _decoded), explicit, _search(rep, _decoded, grow_only=True)
+    return _search(rep, witnesses), explicit, _search(rep, witnesses, grow_only=True)
 
 
 def t1intro_inequalities(p: int, q: int, r: int) -> bool:

@@ -397,23 +397,28 @@ def full_cohomology(rep: CohRep):
 MEMO_SIZE = 1 << 13
 
 
-class BracketNames(dict):
-    """The bracket form of each partition looked up, formatted once while
-    the memo lasts (MEMO_SIZE); the partitions are trusted to be canonical."""
+class Memo(dict):
+    """The text `form` gives each key looked up, formatted once while the
+    memo lasts (MEMO_SIZE); Memo(brackets) names partitions, which are
+    trusted to be canonical."""
 
-    def __missing__(self, lam):
+    def __init__(self, form):
+        super().__init__()
+        self.form = form
+
+    def __missing__(self, key):
         if len(self) >= MEMO_SIZE:
             self.clear()
-        text = self[lam] = brackets(lam)
+        text = self[key] = self.form(key)
         return text
 
 
 def text_form(rep: CohRep, names=None) -> str:
     """The rep as text, e.g. U(2,2) A[[1]|[2,1]]; a caller formatting many
-    reps passes one BracketNames for all of them."""
+    reps passes one Memo(brackets) for all of them."""
     # lam and mu were validated when the rep was built
     if names is None:
-        names = BracketNames()
+        names = Memo(brackets)
     kind, p, q = rep.family
     head = f"{kind}({p},{q})"
     if kind == "O":

@@ -2,11 +2,15 @@
 degree-zero variant."""
 
 import hashlib
+import json
+import os
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomreps import (
     DomainError,
@@ -29,7 +33,8 @@ from cohomreps import (
 from cohomreps import isolation
 from cohomreps.checks import run, signatures
 from cohomreps.isolation import _flips, decode, verdicts, witness_count
-from cohomreps.reps import BracketNames
+from cohomreps.partitions import brackets, follows
+from cohomreps.reps import Memo
 
 
 class TestUnitarySearch:
@@ -256,7 +261,7 @@ def test_flip_neighbors_match_frozenset_variants(moves, grow_only):
 def reference_index(kind, p, q):
     """Each cell bitmask with (label, last rectangle, admits flag 0) per
     parameter carrying it: the index layout before the sorted runs."""
-    index, names = {}, BracketNames()
+    index, names = {}, Memo(brackets)
     for rep in enumerate_reps(Family(kind, p, q)):
         lam = names[rep.lam]
         body = lam if kind == "O" else f"{lam}|{names[rep.mu]}"
@@ -337,7 +342,7 @@ def test_verdict_digest_is_pinned():
 def test_decode_lists_the_pairs_of_every_cell_mask(kind):
     # every bitmask of each box with p*q <= 12, not only the neighbor masks,
     # against the labels of the enumerated reps grouped by cell set
-    names, checked = BracketNames(), 0
+    names, checked = Memo(brackets), 0
     for p, q in signatures(8):
         if p * q > 12:
             continue
@@ -386,6 +391,98 @@ def test_one_shot_verdicts_reach_past_the_enumeration_guard():
     assert not dual.isolated and not explicit.isolated
     assert len(dual.witnesses) == 22 and "A[[]|[1]]" in dual.witnesses
     assert degree_zero.witnesses == ("A[[]|[3]]",)
+
+
+def test_verdicts_decode_each_neighbor_mask_once(monkeypatch):
+    # both searches of verdicts read one decoded neighborhood, and the
+    # sweep functions read the group index without decoding anything
+    calls, shape = Counter(), isolation._shape
+
+    def counted(kind, p, q, cells):
+        calls[cells] += 1
+        return shape(kind, p, q, cells)
+
+    monkeypatch.setattr(isolation, "_shape", counted)
+    for rep in [
+        make_rep(Family("U", 4, 5), (5,) * 4, (5,) * 4),  # every flip adds a cell
+        make_rep(Family("U", 5, 5), (4, 2, 2, 2), (5, 4, 2, 2, 2)),
+        make_rep(Family("Sp", 3, 3), (2, 1), (2, 2, 1), flag=0),
+        make_rep(Family("O", 4, 4), (2, 2)),
+    ]:
+        calls.clear()
+        verdicts(rep)
+        assert Counter(isolation._neighbors(rep, False)) == calls, f"{rep!r}"
+    calls.clear()
+    for kind, judge in DUAL.items():
+        for rep in enumerate_reps(Family(kind, 3, 4)):
+            judge(rep)
+            isolated_d0(rep)
+    assert not calls
+
+
+def rss_mb():
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
+def test_flips_caches_only_small_boxes():
+    # The flips of the 6 boxes of 6 000 to 10 000 cells below would hold
+    # about 28 MB if cached; each is rebuilt per call instead.
+    _flips.cache_clear()
+    verdicts(trivial_rep(Family("U", 8, 16)))  # 128 cells, cached
+    verdicts(trivial_rep(Family("U", 1, 129)))
+    assert _flips.cache_info().currsize == 1
+    reps = [trivial_rep(Family("U", 1, q)) for q in range(6000, 10001, 800)]
+    before = rss_mb()
+    for rep in reps:
+        verdicts(rep)
+    assert rss_mb() - before < 10
+    assert _flips.cache_info().currsize == 1
+
+
+@st.composite
+def unitary_reps(draw):
+    """A U or Sp rep in a box up to 12 x 12: lam first, then each row of mu
+    by the row rule `follows`."""
+    kind = draw(st.sampled_from(["U", "Sp"]))
+    p, q = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    lam = sorted(draw(st.lists(st.integers(0, q), min_size=p, max_size=p)), reverse=True)
+    mu, above = [], (q, q)
+    for x in lam:
+        his = [hi for hi in range(x, q + 1) if follows(above, (x, hi))]
+        above = (x, draw(st.sampled_from(his)))
+        mu.append(above[1])
+    flag = None
+    if kind == "Sp":
+        flag = 0 if admits_flag_zero(lam, mu, p) and draw(st.booleans()) else 1
+    return make_rep(Family(kind, p, q), lam, mu, flag)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unitary_reps())
+def test_decoded_witnesses_are_reps_one_flip_away(rep):
+    # past the exhaustive range: each witness builds, and its cell set is
+    # one cell away from the rep's (one more cell for degree zero); a flag-0
+    # witness keeps the quaternionic block. Listing the witnesses is what
+    # costs, so the witness guard is lowered to 10 000 here.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(isolation, "MAX_WITNESSES", 10_000)
+        try:
+            dual, _, degree_zero = verdicts(rep)
+        except DomainError:
+            return
+    cells = rep.skew.cells
+    for verdict, grow_only in ((dual, False), (degree_zero, True)):
+        for label in verdict.witnesses[:50]:
+            if not label.startswith("A["):  # the block condition
+                continue
+            lam, mu = label.removesuffix("_0")[2:-1].split("|")
+            witness = make_rep(rep.family, json.loads(lam), json.loads(mu), rep.flag)
+            flipped = witness.skew.cells ^ cells
+            assert flipped.bit_count() == 1, (rep, label)
+            assert not (grow_only and flipped & cells), (rep, label)
+            if rep.flag == 0:
+                assert witness.skew.rectangles[-1] == rep.skew.rectangles[-1], (rep, label)
 
 
 class TestInequalities:
