@@ -52,14 +52,20 @@ def conjugate(lam: Partition) -> Partition:
     return tuple(sum(1 for part in lam if part > c) for c in range(lam[0] if lam else 0))
 
 
-def _check_box(p: int, q: int) -> None:
-    """Refuse box dimensions that are not ints >= 0; bools are refused too."""
+MAX_GRID_POINTS = 1_000_000  # (p + 1)(q + 1); 999 x 999 and 499 999 x 1 take about 1 s
+
+
+def check_box(p: int, q: int) -> None:
+    """ValueError unless p and q are ints >= 0 (not bools), DomainError past
+    MAX_GRID_POINTS: a count sums over the grid points, a cell mask has pq bits."""
     if type(p) is not int or type(q) is not int or p < 0 or q < 0:
         raise ValueError(f"box dimensions must be nonnegative integers, got {p!r} x {q!r}")
+    if (points := (p + 1) * (q + 1)) > MAX_GRID_POINTS:
+        raise DomainError(f"the {p}x{q} box has {points} grid points, more than {MAX_GRID_POINTS}")
 
 
 def fits_in_box(lam: Partition, p: int, q: int) -> bool:
-    _check_box(p, q)
+    check_box(p, q)
     lam = canonical(lam)
     return len(lam) <= p and (not lam or lam[0] <= q)
 
@@ -123,8 +129,9 @@ def _skew(lam_pad: tuple, mu_pad: tuple, q: int) -> SkewDecomposition:
     first row that does not follow the one above by follows. Trusts its
     input: the rows are padded to the box height, and lam_pad is a
     partition contained in mu_pad. A nonempty row equal to the one above
-    continues its rectangle; any other starts a new one."""
-    rects, cells, above = [], 0, (q, q)
+    continues its rectangle; any other starts a new one. The cells are read
+    from one binary numeral, last row and column first, in time linear in pq."""
+    rects, bits, above = [], [], (q, q)
     for r, row in enumerate(zip(lam_pad, mu_pad)):
         if not follows(above, row):
             lam, mu, p = canonical(lam_pad), canonical(mu_pad), len(lam_pad)
@@ -133,14 +140,14 @@ def _skew(lam_pad: tuple, mu_pad: tuple, q: int) -> SkewDecomposition:
                 "overlap in more than a corner"
             )
         lo, hi = row
+        bits.append("0" * (q - hi) + "1" * (hi - lo) + "0" * lo)
         if lo < hi:
-            cells |= ((1 << hi) - (1 << lo)) << r * q
             if row == above:
                 rects[-1] = Rectangle(rects[-1].rows + 1, hi - lo)
             else:
                 rects.append(Rectangle(1, hi - lo))
         above = row
-    return SkewDecomposition(tuple(rects), cells)
+    return SkewDecomposition(tuple(rects), int("0" + "".join(reversed(bits)), 2))
 
 
 def _padded(lam: Partition, p: int) -> tuple:
@@ -192,20 +199,11 @@ def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
             yield lam, mu[: p - mu.count(0)], SkewDecomposition(rects, cells)
 
 
-MAX_GRID_POINTS = 1_000_000  # sums (p + 1)(q + 1); 999 x 999 and 499 999 x 1 take about 1 s
-
-
 def _row_sums(p: int, q: int) -> tuple:
     """The transfer of follows over p rows from (q, q), in vectors of length
     q + 1: at_least[x] counts the partial pairs whose last lam is at least x,
     ending[hi] those ending in a row (lo, hi], lo < hi, the same for every lo,
-    as it follows each row whose lam is >= hi, or itself. DomainError past MAX_GRID_POINTS."""
-    _check_box(p, q)
-    if (p + 1) * (q + 1) > MAX_GRID_POINTS:
-        raise DomainError(
-            f"counting over {p} rows of width {q} takes {(p + 1) * (q + 1)} sums, "
-            f"more than the {MAX_GRID_POINTS} that are run"
-        )
+    as it follows each row whose lam is >= hi, or itself."""
     at_least, ending = [1] * (q + 1), [0] * (q + 1)
     for _ in range(p):
         ending = [0] + [a + e for a, e in zip(at_least[1:], ending[1:])]
@@ -219,6 +217,7 @@ def _row_sums(p: int, q: int) -> tuple:
 
 def count_pairs(p: int, q: int) -> tuple:
     """(compatible pairs, those with lam_p = 0 < mu_p) of the p x q box."""
+    check_box(p, q)
     at_least, ending = _row_sums(p, q)
     return at_least[0], sum(ending)
 
@@ -283,36 +282,45 @@ def _palindrome(
 def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
     """Every orthogonal lam in the p x q box as (lam, complement, decomposition).
 
-    Lex order in lam, built row by row. Row i of the skew is the interval
-    (lam_i, q - lam_(p+1-i)], so lam lies in its complement iff
-    lam_i + lam_(p+1-i) <= q: a row past the middle is bounded by its
-    mirror, the middle row by q // 2. By central symmetry the skew is
-    compatible when its lower half is, so each lower row is kept only when
-    it follows the row above. The palindrome tripwire runs on every result.
-    """
-    _check_box(p, q)
-    stack = [()]
+    Lex order in lam, built row by row. Row i of the skew is (lam_i, q - lam_j],
+    j = p - 1 - i its mirror, so lam lies in its complement iff lam_i + lam_j
+    <= q: a row past the middle is bounded by its mirror, the middle row by
+    q // 2. By central symmetry the skew is compatible when its lower half is,
+    so a lower row is kept only when it follows the row above; it adds its
+    cells and its mirror's, and its rectangle at both ends of the list, or
+    grows the ends when it continues the row above. The palindrome tripwire
+    runs on every result."""
+    check_box(p, q)
+    stack = [((), (), 0)]  # (lam, the rectangles and cells of its rows but the last)
     while stack:
-        lam = stack.pop()
-        i = len(lam)
-        if i == p:
-            comp = tuple(q - x for x in reversed(lam))
-            skew = _skew(lam, comp, q)
+        lam, rects, cells = stack.pop()
+        i, j = len(lam) - 1, p - len(lam)  # the row just picked and its mirror
+        if j <= i:
+            row = lo, hi = lam[i], q - lam[j]
+            above = (lam[i - 1], q - lam[j + 1]) if j < i else None
+            if above and not follows(above, row):
+                continue
+            if lo < hi:
+                end, cells = Rectangle(1, hi - lo), cells | ((1 << hi) - (1 << lo)) << i * q
+                if above:  # and the mirror (q - hi, q - lo] in row j
+                    cells |= ((1 << q - lo) - (1 << q - hi)) << j * q
+                if row != above:  # a new rectangle, at both ends but in the middle row
+                    rects = (end,) + rects + (end,) if above else (end,)
+                elif len(rects) > 1:  # continued: the end rectangles grow a row
+                    end = Rectangle(rects[-1].rows + 1, hi - lo)
+                    rects = (end,) + rects[1:-1] + (end,)
+                else:  # the middle rectangle, alone in the list, grows two
+                    rects = (Rectangle(rects[0].rows + 2 if rects else 2, hi - lo),)
+        if i + 1 == p:
+            comp, skew = tuple(q - x for x in reversed(lam)), SkewDecomposition(rects, cells)
             lam = lam[: p - lam.count(0)]
             yield lam, comp[: p - comp.count(0)], _palindrome(lam, skew, p, q)
             continue
-        top = lam[-1] if i else q
-        if 2 * i + 1 >= p:
-            top = min(top, q - lam[p - 1 - i] if 2 * i + 1 > p else q // 2)
-        if i and 2 * i >= p and lam[i - 1] < q - lam[p - 1 - i]:
-            # the new row (x, q - lam[p-1-i]] ends right of where the row
-            # above starts, so only that row continued can follow it:
-            # x = lam[i-1], kept if the two rows are the same
-            kid = lam + (lam[i - 1],)
-            above, row = (kid[i - 1], q - kid[p - i]), (kid[i], q - kid[p - 1 - i])
-            stack += [kid] if follows(above, row) else []
-        else:
-            stack += [lam + (x,) for x in range(top, -1, -1)]
+        i, j, top = i + 1, j - 1, lam[-1] if lam else q  # the next row and its mirror
+        # a lower row (x, q - lam_j] follows one starting at top if q - lam_j <= top or x = top
+        stop = top - 1 if j < i and q - lam[j] > top else -1
+        bound = min(top, q - lam[j] if j < i else q // 2 if j == i else q)
+        stack += [(lam + (x,), rects, cells) for x in range(bound, stop, -1)]
 
 
 def count_orthogonal(p: int, q: int) -> int:
@@ -322,7 +330,7 @@ def count_orthogonal(p: int, q: int) -> int:
     its mirror (q - hi, q - lo], which does when 2 lo >= q, for odd p one of
     the rows (x, q - x], 2x <= q, which does when q - x <= lo. Either middle
     is (lo, hi) itself, continued, when lo + hi = q < 2 hi."""
-    _check_box(p, q)
+    check_box(p, q)
     at_least, ending = _row_sums(p // 2, q)
     mid = (q + 1) // 2
     return (sum(at_least[mid:]) if p % 2 else at_least[mid]) + sum(ending[q // 2 + 1 :])
@@ -339,7 +347,7 @@ def is_orthogonal(lam: Partition, p: int, q: int) -> bool:
 
 def enumerate_partitions_in_box(p: int, q: int) -> Iterator[Partition]:
     """All partitions with at most p parts, each at most q, in lex order."""
-    _check_box(p, q)
+    check_box(p, q)
     return _box_partitions(p, q)
 
 

@@ -28,6 +28,7 @@ from .partitions import (
     SkewDecomposition,
     brackets,
     canonical,
+    check_box,
     compatible_pairs,
     complement,
     count_orthogonal,
@@ -55,6 +56,7 @@ class Family(namedtuple("Family", "kind p q")):
             raise DomainError(f"signature ({p!r},{q!r}) must be integers")
         if p < 1 or q < 1:
             raise DomainError(f"signature ({p},{q}) must be positive")
+        check_box(p, q)
         return super().__new__(cls, kind, p, q)
 
 

@@ -284,8 +284,9 @@ def test_prime_rank_degrees_answer_fast():
 
 # One input past each size bound that exits 3 before the work starts: the
 # closed product, the divisor walk of degrees, the exponents of restrict,
-# the enumeration guard (a thin box counted exactly), the row transfer
-# of the count and the cells and row reads of a decoded isolation search.
+# the enumeration guard (a thin box counted exactly), the grid points of a
+# box, which every group is checked against before any rep is built, and
+# the cells and row reads of a decoded isolation search.
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -294,17 +295,25 @@ def test_prime_rank_degrees_answer_fast():
         (("degrees", "1000000000000000003", "1", "1000000000000000002"), "n=1000000000000000003"),
         (("restrict", "u(1,100000000)", "1"), "GL(100000000)"),
         (("enumerate", "U", "1", "30000"), "U(1,30000) has 450045001 representations"),
-        (("enumerate", "U", "2000", "2000"), "takes 4004001 sums"),
+        (("enumerate", "U", "2000", "2000"), "the 2000x2000 box has 4004001 grid points"),
         (("isolate", "U", "300", "300"), "flips 90000 cells and reads 27000000 rows"),
         (
             ("isolate", "U", "1", "1000000", "--lambda", "[]", "--mu", "[]"),
-            "flips 1000000 cells and reads 1000000 rows",
+            "the 1x1000000 box has 2000002 grid points",
         ),
         (("isolate", "U", "1001", "1"), "flips 1001 cells and reads 1002001 rows"),
+        (("isolate", "U", "1000000", "1"), "the 1000000x1 box has 2000002 grid points"),
+        (("coverage", "U", "1000000", "1"), "the 1000000x1 box has 2000002 grid points"),
+        (
+            ("cohomology", "U", "1000000", "1", "--closed-only"),
+            "the 1000000x1 box has 2000002 grid points",
+        ),
+        (("isolate", "U", "1000000000", "1"), "the 1000000000x1 box has 2000000002 grid points"),
     ],
     ids=[
         "cohomology", "cohomology-closed", "degrees", "restrict", "enumerate", "count",
-        "isolate-cells", "isolate-wide", "isolate-rows",
+        "isolate-cells", "isolate-wide", "isolate-rows", "isolate-tall", "coverage-tall",
+        "cohomology-tall", "isolate-huge",
     ],
 )
 def test_oversized_inputs_exit_3_at_once(argv, message):

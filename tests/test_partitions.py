@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cohomreps import (
     BoxOverflow,
+    DomainError,
     NotCompatible,
     NotNested,
     NotOrthogonal,
@@ -170,7 +171,7 @@ def test_compatible_pairs_filter_the_box_product(p, q):
     ]
 
 
-@pytest.mark.parametrize("p, q", [(1, 1), (2, 2), (2, 5), (3, 3), (4, 3), (4, 4)])
+@pytest.mark.parametrize("p, q", [*signatures(10), (1, 40), (40, 1), (2, 25), (25, 2)])
 def test_orthogonal_partitions_filter_the_box(p, q):
     shapes = orthogonal_partitions(p, q)
     assert inspect.isgenerator(shapes)
@@ -187,7 +188,10 @@ def test_cells_bitmask_decodes_to_skew_box_set():
         shapes += [(lam, mu, orth.skew) for lam, mu, orth in orthogonal_partitions(p, q)]
         for lam, mu, skew in shapes:
             assert skew.cells >> p * q == 0
-            assert decode_cells(skew.cells, p, q) == skew_box_set(lam, mu, p, q), (lam, mu)
+            box_set = skew_box_set(lam, mu, p, q)
+            assert decode_cells(skew.cells, p, q) == box_set, (lam, mu)
+            built = rectangle_decomposition(lam, mu, p, q).cells
+            assert decode_cells(built, p, q) == box_set, (lam, mu)
 
 
 def test_decomposition_repr():
@@ -213,8 +217,7 @@ def test_palindrome_tripwire_fires_without_central_symmetry(skew):
         _palindrome((), skew, 2, 2)
 
 
-@pytest.mark.parametrize("p, q", [(-2, 3), (2, -1), (2.0, 2), (2, 2.0), (True, 2), (2, True)])
-@pytest.mark.parametrize(
+BOX_CALLS = pytest.mark.parametrize(
     "call",
     [
         lambda p, q: fits_in_box((), p, q),
@@ -234,9 +237,27 @@ def test_palindrome_tripwire_fires_without_central_symmetry(skew):
         "enumerate_partitions_in_box", "count_pairs", "count_orthogonal",
     ],
 )
+
+
+@pytest.mark.parametrize("p, q", [(-2, 3), (2, -1), (2.0, 2), (2, 2.0), (True, 2), (2, True)])
+@BOX_CALLS
 def test_box_dimensions_must_be_nonnegative_ints(call, p, q):
     with pytest.raises(ValueError, match="box dimensions must be nonnegative integers"):
         call(p, q)
+
+
+# Boxes of 1 000 001 grid points (p + 1)(q + 1), one past MAX_GRID_POINTS;
+# larger ones run only in a bounded process (tests/test_cli.py), as a call
+# that missed the bound would fill memory with their partitions
+@pytest.mark.parametrize("p, q", [(1_000_000, 0), (0, 1_000_000)])
+@BOX_CALLS
+def test_box_past_the_grid_bound_is_refused_at_once(call, p, q):
+    with pytest.raises(DomainError, match=r"box has \d+ grid points, more than 1000000"):
+        call(p, q)
+
+
+def test_box_at_the_grid_bound_is_taken():
+    assert fits_in_box((), 999_999, 0) and fits_in_box((), 999, 999)
 
 
 def test_is_compatible_never_raises():

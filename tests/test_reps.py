@@ -194,11 +194,14 @@ def test_enumeration_decomposes_each_pair_once(monkeypatch):
 
 def test_orthogonal_enumeration_skips_the_box_scan(monkeypatch):
     # lam is built row by row within the bounds its complement sets, so the
-    # work follows the output rather than the C(p+q, p) box partitions
+    # work follows the output rather than the C(p+q, p) box partitions, and
+    # each row carries its cells and rectangles, so no finished lam is
+    # decomposed again
     def scan(*args):
-        raise AssertionError("orthogonal enumeration scanned the whole box")
+        raise AssertionError("orthogonal enumeration scanned the box or decomposed a lam")
 
     monkeypatch.setattr(partitions, "enumerate_partitions_in_box", scan)
+    monkeypatch.setattr(partitions, "_skew", scan)
     for p, q in [(1, 1), (3, 4), (6, 6)]:
         assert reps._enumerate_cached.__wrapped__("O", p, q)
 
