@@ -106,9 +106,9 @@ def sweep_isolation(max_pq: int):
 
 def sweep_decode(max_pq: int):
     """The verdicts of `verdicts`, which decodes each neighbor mask, against
-    the searches over the group index, on every U, O and Sp rep; and the
-    closed witness count of each rep's own cell mask against the length of
-    its decoded list."""
+    the searches over the group's neighbor table, on every U, O and Sp rep;
+    and the closed witness count of each rep's own cell mask against the
+    length of its decoded list."""
     from .isolation import decode, isolated_d0, isolated_O, isolated_Sp
     from .isolation import isolated_U_explicit, isolated_U_search, verdicts, witness_count
     from .reps import FAMILIES, Family, enumerate_reps, text_form

@@ -7,11 +7,10 @@ change symmetrically). Isolation among the parameters with invariant
 vectors at infinity ("degree zero" spectrum) only looks at enlargements of
 the cell set. In both cases the verdict carries the list of offending
 neighbor parameters, so an empty witness list is equivalent to isolation.
-The search reads the parameters carrying each neighbor cell set from one
-map of cell sets to witnesses: the index of the whole group, which suits a
-sweep over its reps, or, in `verdicts`, the neighbors of one parameter
-decoded once from their cell sets, which suits one query and enumerates
-nothing.
+The search merges the sorted label runs of the neighbor cell sets that
+some parameter carries. A sweep over a group reads them from its neighbor
+table, built once per group; `verdicts` decodes the neighbors of one
+parameter instead, which suits one query and enumerates nothing.
 
 The unitary family also has a closed-form criterion on the rectangles of
 the skew shape; it is implemented separately so the two can be compared.
@@ -26,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, WrongFamily
 from .partitions import brackets, follows
-from .reps import CohRep, Family, Memo, enumerate_reps
+from .reps import CohRep, Family, Memo, admits_flag_zero, enumerate_reps
 
 
 class IsolationVerdict(NamedTuple):
@@ -37,27 +36,43 @@ class IsolationVerdict(NamedTuple):
 
 @lru_cache(maxsize=None)  # one entry per group, like the unbounded _enumerate_cached
 def _index(kind: str, p: int, q: int):
-    """Map each skew cell bitmask to the sorted witness labels of the
-    group's parameters carrying it; the quaternionic family searches the
-    unitary index, which holds the same pairs."""
-    index, names = {}, Memo(brackets)
+    """The neighbor table of a group: each cell bitmask its parameters carry
+    mapped to the label runs of its carried neighbors under all flips, under
+    those that add cells, and if it admits flag 0 the same two for the flips
+    keeping its block. Runs are the label tuples, ordered by first label; Sp
+    reads the unitary table, which holds the same pairs."""
+    labels, blocks, names = {}, {}, Memo(brackets)
     for rep in enumerate_reps(Family(kind, p, q)):
         lam = names[rep.lam]
         body = lam if kind == "O" else f"{lam}|{names[rep.mu]}"
-        index.setdefault(rep.skew.cells, []).append(f"A[{body}]")
-    return {k: tuple(sorted(v)) for k, v in index.items()}
+        labels.setdefault(rep.skew.cells, []).append(f"A[{body}]")
+        if kind == "U" and admits_flag_zero(rep.lam, rep.mu, p):
+            blocks[rep.skew.cells] = rep.skew.rectangles[-1]
+    labels = {cells: tuple(sorted(v)) for cells, v in labels.items()}
+    # Rows of carried masks are intervals, so a flip between two takes from
+    # the larger only cells ending its rows: each pair is found once, there.
+    inner = sum(((1 << q) - 1 >> 2 << 1) << r * q for r in range(p))  # columns 2..q-1
+    pair, table = {f & -f: f for f in _flips(p, q, kind == "O")}, {cells: [] for cells in labels}
+    for big in labels:
+        ends = big & ~(big << 1 & big >> 1 & inner)
+        while ends:
+            flip = pair.get(ends & -ends)  # with this end as its lowest cell, if any
+            ends &= ends - 1
+            if flip and (small := big ^ flip) in labels:
+                table[big].append(small)
+                table[small].append(big)
+
+    def runs(cells, found):
+        return tuple(map(labels.get, found)), tuple(map(labels.get, filter(cells.__lt__, found)))
+
+    for cells, found in table.items():
+        found.sort(key=labels.get)
+        table[cells] = runs(cells, found)
+        if cells in blocks:
+            table[cells] += runs(cells, list(filter(_keeps(p, q, cells, blocks[cells]), found)))
+    return table
 
 
-# _flips caches the boxes of at most this many cells, which holds every box
-# of a sweep with p+q <= 10 (25 cells at most). An entry is a tuple of pq
-# masks of up to pq bits, at most 5.5 kB at 128 cells, and the 645 boxes
-# under the bound take under 3 MB for both families together. A larger box,
-# such as the 10^4 cells a decoded search takes on (7 MB), is rebuilt on
-# each call, in a few ms.
-MAX_CACHED_CELLS = 128
-
-
-@lru_cache(maxsize=None)  # boxes past MAX_CACHED_CELLS call __wrapped__
 def _flips(p: int, q: int, orth: bool) -> tuple:
     """Bitmasks of each cell of the p x q box, or for O of each pair of
     cells mirrored through its centre: an O cell set is centrally
@@ -171,33 +186,32 @@ def decode(kind: str, p: int, q: int, cells: int) -> tuple:
     return _labels(kind, p, q, _shape(kind, p, q, cells))
 
 
-def _neighbors(rep: CohRep, grow_only: bool) -> list:
-    """The cell masks one flip away from `rep`'s, only those that add cells
-    if `grow_only`. A flag-0 block (a, b) sits in rows p-a+1..p, columns
-    1..b, and a neighbor keeps it and flag 0 when the flipped cell lies
-    above it and row p-a does not become a copy of its row."""
-    kind, p, q = rep.family
-    cells = rep.skew.cells
-    flips = (_flips if p * q <= MAX_CACHED_CELLS else _flips.__wrapped__)(p, q, kind == "O")
+def _keeps(p: int, q: int, cells: int, block: tuple):
+    """The test of a mask one flip away from `cells` for keeping its flag-0
+    block (a, b), in rows p-a+1..p, columns 1..b, and flag 0: the flipped
+    cell lies above the block and row p-a does not become a copy of its row."""
+    a, b = block
+    top = (p - a) * q  # bit of the block's first cell
+    above = max(top - q, 0)  # row p - a; no flip is left if a = p
+    copy = (cells & ((1 << q) - 1) << above) ^ ((1 << b) - 1) << above
+    return lambda other: other ^ cells < 1 << top and other ^ cells != copy
+
+
+def _neighbors(rep: CohRep) -> list:
+    """The cell masks one flip away from `rep`'s, in flip order, only those
+    keeping its block if it has flag 0; those larger than it add cells."""
+    (kind, p, q), cells = rep.family, rep.skew.cells
+    neighbors = list(map(cells.__xor__, _flips(p, q, kind == "O")))
     if rep.flag == 0:
-        a, b = rep.skew.rectangles[-1]
-        top = (p - a) * q  # bit of the block's first cell
-        above = max(top - q, 0)  # row p - a; no flip is left if a = p
-        # the one flip, if any, that turns row p - a into the block's row
-        copy = (cells & ((1 << q) - 1) << above) ^ ((1 << b) - 1) << above
-        flips = [f for f in flips[:top] if f != copy]
-    if grow_only:
-        return [cells | f for f in flips if not cells & f]
-    return [cells ^ f for f in flips]
+        return list(filter(_keeps(p, q, cells, rep.skew.rectangles[-1]), neighbors))
+    return neighbors
 
 
-def _search(rep: CohRep, witnesses, grow_only=False) -> IsolationVerdict:
-    """Collect the parameters one flip away from `rep`, reading the sorted
-    labels of each neighbor mask from `witnesses`. The unitary-dual search
-    of a flag-0 parameter also needs its block big enough on its own."""
+def _search(rep: CohRep, runs, grow_only=False) -> IsolationVerdict:
+    """Merge the sorted label runs of `rep`'s neighbors into its verdict; the
+    unitary-dual search of flag 0 also needs the block big enough alone."""
     # A label belongs to one bitmask, so the runs of distinct neighbors are
     # disjoint, and sorting their concatenation merges the sorted runs.
-    runs = filter(None, map(witnesses.get, _neighbors(rep, grow_only)))
     wits = sorted(chain.from_iterable(runs))
     if rep.flag == 0:
         # no label is a prefix of another, so suffixed they stay sorted
@@ -211,6 +225,12 @@ def _search(rep: CohRep, witnesses, grow_only=False) -> IsolationVerdict:
     return IsolationVerdict(not wits, tuple(wits), "search")
 
 
+def _sweep(rep: CohRep, kind: str, grow_only=False) -> IsolationVerdict:
+    """The search of `rep` on the runs its group's table holds for it."""
+    entry = _index(kind, rep.family.p, rep.family.q)[rep.skew.cells]
+    return _search(rep, entry[grow_only + 2 * (rep.flag == 0)], grow_only)
+
+
 def _require(rep: CohRep, kind: str) -> None:
     if rep.family.kind != kind:
         raise WrongFamily(f"this criterion applies to the {kind} family, not {rep.family.kind}")
@@ -219,7 +239,7 @@ def _require(rep: CohRep, kind: str) -> None:
 def isolated_U_search(rep: CohRep) -> IsolationVerdict:
     """Unitary-dual isolation by exhausting one-box neighbors."""
     _require(rep, "U")
-    return _search(rep, _index("U", rep.family.p, rep.family.q))
+    return _sweep(rep, "U")
 
 
 def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
@@ -262,7 +282,7 @@ def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
 def isolated_O(rep: CohRep) -> IsolationVerdict:
     """Unitary-dual isolation for the orthogonal family (two-box search)."""
     _require(rep, "O")
-    return _search(rep, _index("O", rep.family.p, rep.family.q))
+    return _sweep(rep, "O")
 
 
 def isolated_Sp(rep: CohRep) -> IsolationVerdict:
@@ -274,7 +294,7 @@ def isolated_Sp(rep: CohRep) -> IsolationVerdict:
     big enough on its own.
     """
     _require(rep, "Sp")
-    return _search(rep, _index("U", rep.family.p, rep.family.q))
+    return _sweep(rep, "U")
 
 
 def isolated_d0(rep: CohRep) -> IsolationVerdict:
@@ -283,8 +303,7 @@ def isolated_d0(rep: CohRep) -> IsolationVerdict:
     Only enlargements of the skew cell set matter here: one extra box for
     the unitary and quaternionic families, two for the orthogonal one.
     """
-    kind, p, q = rep.family
-    return _search(rep, _index("O" if kind == "O" else "U", p, q), grow_only=True)
+    return _sweep(rep, "O" if rep.family.kind == "O" else "U", grow_only=True)
 
 
 def verdicts(rep: CohRep) -> tuple:
@@ -292,11 +311,10 @@ def verdicts(rep: CohRep) -> tuple:
     of isolated_U_search, isolated_O or isolated_Sp, of isolated_U_explicit
     (None outside U) and of isolated_d0.
 
-    Both searches read one map of the parameters carrying each neighbor
-    mask, decoded once from the masks (those that add cells are among the
-    others) instead of indexed over the whole group, so no group is
-    enumerated; that suits one query, and the functions above, which share
-    an index per group, suit a sweep. DomainError is raised for a box past
+    Both searches merge one run per flip, in flip order, decoded once from
+    the parameter's own neighbor masks: no group is enumerated and no mask
+    hashed, which suits one query, while the functions above share a table
+    per group and suit a sweep. DomainError is raised for a box past
     MAX_CELLS or MAX_ROW_READS, before any neighbor is built, and when the
     neighbors carry more than MAX_WITNESSES witnesses, before any is listed.
     """
@@ -307,20 +325,18 @@ def verdicts(rep: CohRep) -> tuple:
             f"{p * p * q} rows, more than the {MAX_CELLS} cells or "
             f"{MAX_ROW_READS} rows that it takes on"
         )
-    shapes = ((cells, _shape(kind, p, q, cells)) for cells in _neighbors(rep, False))
-    carried = [(cells, shape) for cells, shape in shapes if shape]
-    count = sum(_count(shape) for _, shape in carried)
+    neighbors = _neighbors(rep)
+    shapes = [_shape(kind, p, q, n) for n in neighbors]
+    count = sum(map(_count, shapes))
     if count > MAX_WITNESSES:
         raise DomainError(
             f"the neighbors of this parameter carry {count} witnesses, more than "
             f"the {MAX_WITNESSES} that a decoded search lists"
         )
-    # Only the masks that some parameter carries are keys, and only past the
-    # guard: the masks of a big box share few hashes, as 2^k and 2^(k + 61)
-    # hash alike, so a dict of many of them probes long chains.
-    witnesses = {cells: _labels(kind, p, q, shape) for cells, shape in carried}
+    runs = [_labels(kind, p, q, shape) for shape in shapes]
+    grown = [run for n, run in zip(neighbors, runs) if n > rep.skew.cells]
     explicit = isolated_U_explicit(rep) if kind == "U" else None
-    return _search(rep, witnesses), explicit, _search(rep, witnesses, grow_only=True)
+    return _search(rep, runs), explicit, _search(rep, grown, grow_only=True)
 
 
 def t1intro_inequalities(p: int, q: int, r: int) -> bool:

@@ -4,6 +4,7 @@ degree-zero variant."""
 import hashlib
 import json
 import os
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -371,12 +372,12 @@ def test_witness_guard_counts_before_listing(monkeypatch):
 
 
 @pytest.mark.parametrize("p, q", [(101, 100), (1001, 1), (1, 10001)])
-def test_box_guard_refuses_before_any_neighbor_is_built(p, q):
-    # past 10 000 cells or 10^6 row reads (p rows of each of pq masks)
-    before = _flips.cache_info().currsize
+def test_box_guard_refuses_before_any_neighbor_is_built(p, q, monkeypatch):
+    # past 10 000 cells or 10^6 row reads (p rows of each of pq masks); a
+    # neighbor built would call the unset _flips
+    monkeypatch.setattr(isolation, "_flips", None)
     with pytest.raises(DomainError, match=f"flips {p * q} cells and reads {p * p * q} rows"):
         verdicts(make_rep(Family("U", p, q), (), ()))
-    assert _flips.cache_info().currsize == before
 
 
 def test_one_shot_verdicts_reach_past_the_enumeration_guard():
@@ -411,7 +412,7 @@ def test_verdicts_decode_each_neighbor_mask_once(monkeypatch):
     ]:
         calls.clear()
         verdicts(rep)
-        assert Counter(isolation._neighbors(rep, False)) == calls, f"{rep!r}"
+        assert Counter(isolation._neighbors(rep)) == calls, f"{rep!r}"
     calls.clear()
     for kind, judge in DUAL.items():
         for rep in enumerate_reps(Family(kind, 3, 4)):
@@ -420,24 +421,58 @@ def test_verdicts_decode_each_neighbor_mask_once(monkeypatch):
     assert not calls
 
 
+def test_sweeps_read_every_verdict_from_the_neighbor_table(monkeypatch):
+    # Building a group's table is one cache miss; after it, a sweep over
+    # every rep, flag 0 included, reads its runs and builds no neighbor.
+    isolation._index.cache_clear()
+    for key in [("U", 3, 4), ("O", 3, 4)]:
+        isolation._index(*key)
+    assert isolation._index.cache_info().misses == 2
+    calls, neighbors = Counter(), isolation._neighbors
+    monkeypatch.setattr(isolation, "_neighbors", lambda *args: calls.update(args) or neighbors(*args))
+    flags = Counter()
+    for kind, judge in DUAL.items():
+        for rep in enumerate_reps(Family(kind, 3, 4)):
+            judge(rep)
+            isolated_d0(rep)
+            flags[rep.flag] += 1
+    assert flags[0] and not calls
+    assert isolation._index.cache_info().misses == 2
+
+
+def test_decoded_verdicts_equal_the_sweep_past_61_cells():
+    # Python hashes an int modulo 2^61 - 1, so past 61 cells masks one flip
+    # apart share few hash classes; a decoded search hashes no mask.
+    rng = random.Random(0)
+    for kind, p, q in [("U", 1, 100), ("U", 2, 40), ("Sp", 2, 40), ("O", 2, 70)]:
+        pairs = enumerate_reps(Family("O" if kind == "O" else "U", p, q))
+        reps = rng.sample(pairs, 40)
+        if kind == "Sp":  # half of them with flag 0
+            admitting = [r for r in pairs if admits_flag_zero(r.lam, r.mu, p)]
+            reps = [
+                make_rep(Family(kind, p, q), r.lam, r.mu, flag)
+                for flag, some in [(0, rng.sample(admitting, 20)), (1, reps[:20])]
+                for r in some
+            ]
+        for rep in reps:
+            explicit = isolated_U_explicit(rep) if kind == "U" else None
+            assert verdicts(rep) == (DUAL[kind](rep), explicit, isolated_d0(rep)), f"{rep!r}"
+
+
 def rss_mb():
     with open("/proc/self/statm") as statm:
         return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
 
-def test_flips_caches_only_small_boxes():
+def test_one_shot_verdicts_keep_nothing():
     # The flips of the 6 boxes of 6 000 to 10 000 cells below would hold
-    # about 28 MB if cached; each is rebuilt per call instead.
-    _flips.cache_clear()
-    verdicts(trivial_rep(Family("U", 8, 16)))  # 128 cells, cached
-    verdicts(trivial_rep(Family("U", 1, 129)))
-    assert _flips.cache_info().currsize == 1
+    # about 28 MB if kept; each query builds its own and no table.
     reps = [trivial_rep(Family("U", 1, q)) for q in range(6000, 10001, 800)]
-    before = rss_mb()
+    before, tables = rss_mb(), isolation._index.cache_info().currsize
     for rep in reps:
         verdicts(rep)
     assert rss_mb() - before < 10
-    assert _flips.cache_info().currsize == 1
+    assert isolation._index.cache_info().currsize == tables
 
 
 @st.composite
