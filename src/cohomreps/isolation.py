@@ -7,10 +7,10 @@ change symmetrically). Isolation among the parameters with invariant
 vectors at infinity ("degree zero" spectrum) only looks at enlargements of
 the cell set. In both cases the verdict carries the list of offending
 neighbor parameters, so an empty witness list is equivalent to isolation.
-The search merges the sorted label runs of the neighbor cell sets that
-some parameter carries. A sweep over a group reads them from its neighbor
-table, built once per group; `verdicts` decodes the neighbors of one
-parameter instead, which suits one query and enumerates nothing.
+The search merges the sorted labels of the neighbor cell sets that some
+parameter carries. A sweep over a group looks the merged witnesses up in
+its neighbor table, built once per group; `verdicts` decodes and merges the
+neighbors of one parameter instead, which suits one query.
 
 The unitary family also has a closed-form criterion on the rectangles of
 the skew shape; it is implemented separately so the two can be compared.
@@ -19,13 +19,13 @@ the skew shape; it is implemented separately so the two can be compared.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, compress, product
 from math import comb, prod
 from typing import NamedTuple
 
 from .errors import DomainError, WrongFamily
 from .partitions import brackets, follows
-from .reps import CohRep, Family, Memo, admits_flag_zero, enumerate_reps
+from .reps import CohRep, Family, Memo, admits_flag_zero, collector_paused, enumerate_reps
 
 
 class IsolationVerdict(NamedTuple):
@@ -35,11 +35,12 @@ class IsolationVerdict(NamedTuple):
 
 
 @lru_cache(maxsize=None)  # one entry per group, like the unbounded _enumerate_cached
+@collector_paused()  # all it builds stays in the table, like _enumerate_cached
 def _index(kind: str, p: int, q: int):
     """The neighbor table of a group: each cell bitmask its parameters carry
-    mapped to the label runs of its carried neighbors under all flips, under
-    those that add cells, and if it admits flag 0 the same two for the flips
-    keeping its block. Runs are the label tuples, ordered by first label; Sp
+    mapped to the merged witness tuples of its searches under all flips,
+    under those that add cells, and if it admits flag 0 the same two for the
+    flips keeping its block, whose `_0` labels are built once per table. Sp
     reads the unitary table, which holds the same pairs."""
     labels, blocks, names = {}, {}, Memo(brackets)
     for rep in enumerate_reps(Family(kind, p, q)):
@@ -61,15 +62,12 @@ def _index(kind: str, p: int, q: int):
             if flip and (small := big ^ flip) in labels:
                 table[big].append(small)
                 table[small].append(big)
-
-    def runs(cells, found):
-        return tuple(map(labels.get, found)), tuple(map(labels.get, filter(cells.__lt__, found)))
-
+    zeros = {cells: tuple(label + "_0" for label in labels[cells]) for cells in blocks}
     for cells, found in table.items():
-        found.sort(key=labels.get)
-        table[cells] = runs(cells, found)
-        if cells in blocks:
-            table[cells] += runs(cells, list(filter(_keeps(p, q, cells, blocks[cells]), found)))
+        table[cells] = _merge(cells, found, list(map(labels.get, found)))
+        if cells in blocks:  # a neighbor keeping the block admits flag 0 too
+            kept = list(filter(_keeps(p, q, cells, blocks[cells]), found))
+            table[cells] += _merge(cells, kept, list(map(zeros.get, kept)), blocks[cells])
     return table
 
 
@@ -207,28 +205,26 @@ def _neighbors(rep: CohRep) -> list:
     return neighbors
 
 
-def _search(rep: CohRep, runs, grow_only=False) -> IsolationVerdict:
-    """Merge the sorted label runs of `rep`'s neighbors into its verdict; the
-    unitary-dual search of flag 0 also needs the block big enough alone."""
+def _merge(cells: int, neighbors: list, runs: list, block=None) -> tuple:
+    """The witnesses of a mask under all flips and under those adding cells,
+    from the sorted label run of each neighbor mask; for a flag-0 `block`,
+    whose labels end in `_0`, the first also needs the block big enough."""
     # A label belongs to one bitmask, so the runs of distinct neighbors are
     # disjoint, and sorting their concatenation merges the sorted runs.
-    wits = sorted(chain.from_iterable(runs))
-    if rep.flag == 0:
-        # no label is a prefix of another, so suffixed they stay sorted
-        wits = [label + "_0" for label in wits]
-        a, b = rep.skew.rectangles[-1]
-        if not grow_only and a + b < 3:  # after the labels, which start "A["
-            wits.append(
-                f"the quaternionic block is {a}x{b}; isolation needs its side "
-                "lengths to sum to at least 3"
-            )
-    return IsolationVerdict(not wits, tuple(wits), "search")
+    dual = sorted(chain.from_iterable(runs))
+    if block and sum(block) < 3:  # after the labels, which start "A["
+        dual.append(
+            "the quaternionic block is {}x{}; isolation needs its side lengths "
+            "to sum to at least 3".format(*block)
+        )
+    grown = compress(runs, map(cells.__lt__, neighbors))
+    return tuple(dual), tuple(sorted(chain.from_iterable(grown)))
 
 
 def _sweep(rep: CohRep, kind: str, grow_only=False) -> IsolationVerdict:
-    """The search of `rep` on the runs its group's table holds for it."""
-    entry = _index(kind, rep.family.p, rep.family.q)[rep.skew.cells]
-    return _search(rep, entry[grow_only + 2 * (rep.flag == 0)], grow_only)
+    """The verdict the table of `rep`'s group holds for it: one lookup."""
+    wits = _index(kind, rep.family.p, rep.family.q)[rep.skew.cells][grow_only + 2 * (rep.flag == 0)]
+    return IsolationVerdict(not wits, wits, "search")
 
 
 def _require(rep: CohRep, kind: str) -> None:
@@ -237,7 +233,8 @@ def _require(rep: CohRep, kind: str) -> None:
 
 
 def isolated_U_search(rep: CohRep) -> IsolationVerdict:
-    """Unitary-dual isolation by exhausting one-box neighbors."""
+    """Unitary-dual isolation by exhausting one-box neighbors. The first call
+    on a group builds its table (U(2,40): about 2 s); one query: `verdicts`."""
     _require(rep, "U")
     return _sweep(rep, "U")
 
@@ -280,7 +277,9 @@ def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
 
 
 def isolated_O(rep: CohRep) -> IsolationVerdict:
-    """Unitary-dual isolation for the orthogonal family (two-box search)."""
+    """Unitary-dual isolation for the orthogonal family (two-box search). The
+    first call on a group builds its table (U(2,40): about 2 s); one query:
+    `verdicts`."""
     _require(rep, "O")
     return _sweep(rep, "O")
 
@@ -291,7 +290,8 @@ def isolated_Sp(rep: CohRep) -> IsolationVerdict:
     With flag 1 the search runs over all compatible pairs at one-box
     distance. With flag 0 only neighbors that themselves carry flag 0 with
     the same quaternionic block can interfere, but the block must also be
-    big enough on its own.
+    big enough on its own. The first call on a group builds the table of
+    U(p,q) (U(2,40): about 2 s); one query: `verdicts`.
     """
     _require(rep, "Sp")
     return _sweep(rep, "U")
@@ -301,7 +301,9 @@ def isolated_d0(rep: CohRep) -> IsolationVerdict:
     """Isolation among parameters contributing to the degree-zero spectrum.
 
     Only enlargements of the skew cell set matter here: one extra box for
-    the unitary and quaternionic families, two for the orthogonal one.
+    the unitary and quaternionic families, two for the orthogonal one. The
+    first call on a group builds its table (U(2,40): about 2 s); one query:
+    `verdicts`.
     """
     return _sweep(rep, "O" if rep.family.kind == "O" else "U", grow_only=True)
 
@@ -333,10 +335,14 @@ def verdicts(rep: CohRep) -> tuple:
             f"the neighbors of this parameter carry {count} witnesses, more than "
             f"the {MAX_WITNESSES} that a decoded search lists"
         )
+    block = rep.flag == 0 and rep.skew.rectangles[-1]
     runs = [_labels(kind, p, q, shape) for shape in shapes]
-    grown = [run for n, run in zip(neighbors, runs) if n > rep.skew.cells]
+    if block:  # no label is a prefix of another, so suffixed they stay sorted
+        runs = [tuple(label + "_0" for label in run) for run in runs]
+    wits = _merge(rep.skew.cells, neighbors, runs, block)
+    dual, d0 = (IsolationVerdict(not w, w, "search") for w in wits)
     explicit = isolated_U_explicit(rep) if kind == "U" else None
-    return _search(rep, runs), explicit, _search(rep, grown, grow_only=True)
+    return dual, explicit, d0
 
 
 def t1intro_inequalities(p: int, q: int, r: int) -> bool:

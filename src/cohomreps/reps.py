@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import gc
 from collections import namedtuple
+from contextlib import contextmanager
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
@@ -203,17 +204,22 @@ def _generate(fam: Family):
         yield _rep(fam, lam, mu, 1 if kind == "Sp" else None, skew)
 
 
-@lru_cache(maxsize=None)  # one entry per group; the isolation indexes hold its reps anyway
-def _enumerate_cached(kind: str, p: int, q: int):
-    # Every rep is kept, so the cyclic collector would walk all earlier
-    # ones again at each older-generation pass; it is paused meanwhile.
+@contextmanager
+def collector_paused():
+    """Pause the cyclic garbage collector, then restore its former state."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return tuple(iter_reps(Family(kind, p, q)))
+        yield
     finally:
         if enabled:
             gc.enable()
+
+
+@lru_cache(maxsize=None)  # one entry per group; the isolation indexes hold its reps anyway
+@collector_paused()  # every rep is kept, so each older-generation pass would walk them again
+def _enumerate_cached(kind: str, p: int, q: int):
+    return tuple(iter_reps(Family(kind, p, q)))
 
 
 def enumerate_reps(family: Family):

@@ -1,6 +1,7 @@
 """Isolation verdicts: searches, the closed-form corner test, and the
 degree-zero variant."""
 
+import gc
 import hashlib
 import json
 import os
@@ -274,7 +275,7 @@ def reference_index(kind, p, q):
 
 
 def reference_search(rep, grow_only=False, block=None, extra=()):
-    """The set-based search over reference_index, the reference for _search:
+    """The set-based search over reference_index, the reference for _merge:
     it walks every change of one cell (two for O) given by
     reference_variants, and with a block keeps the neighbors admitting flag 0
     whose last rectangle is that block."""
@@ -423,21 +424,54 @@ def test_verdicts_decode_each_neighbor_mask_once(monkeypatch):
 
 def test_sweeps_read_every_verdict_from_the_neighbor_table(monkeypatch):
     # Building a group's table is one cache miss; after it, a sweep over
-    # every rep, flag 0 included, reads its runs and builds no neighbor.
+    # every rep, flag 0 included, looks its witnesses up: it builds no
+    # neighbor and merges nothing, and reps sharing a cell mask and a flag
+    # share the stored witness tuple.
     isolation._index.cache_clear()
     for key in [("U", 3, 4), ("O", 3, 4)]:
         isolation._index(*key)
     assert isolation._index.cache_info().misses == 2
-    calls, neighbors = Counter(), isolation._neighbors
+    calls, neighbors, merge = Counter(), isolation._neighbors, isolation._merge
     monkeypatch.setattr(isolation, "_neighbors", lambda *args: calls.update(args) or neighbors(*args))
-    flags = Counter()
+    monkeypatch.setattr(isolation, "_merge", lambda *args: calls.update(["merge"]) or merge(*args))
+    flags, first, shared = Counter(), {}, Counter()
     for kind, judge in DUAL.items():
         for rep in enumerate_reps(Family(kind, 3, 4)):
-            judge(rep)
-            isolated_d0(rep)
+            found = judge(rep).witnesses, isolated_d0(rep).witnesses
             flags[rep.flag] += 1
-    assert flags[0] and not calls
+            key = kind, rep.flag, rep.skew.cells
+            if all(found):  # the empty tuple is one object anyway
+                kept = first.setdefault(key, found)
+                assert kept[0] is found[0] and kept[1] is found[1], f"{rep!r}"
+                shared[rep.flag] += kept is not found
+    assert flags[0] and shared[None] and shared[0] and shared[1]
+    assert not calls
     assert isolation._index.cache_info().misses == 2
+
+
+def test_table_build_pauses_the_collector_and_restores_it(monkeypatch):
+    seen, table = [], isolation._index("U", 2, 2)
+
+    def failing(fam):
+        seen.append(gc.isenabled())
+        raise RuntimeError("enumeration failed")
+
+    assert gc.isenabled()
+    monkeypatch.setattr(isolation, "enumerate_reps", failing)
+    with pytest.raises(RuntimeError):
+        isolation._index.__wrapped__("U", 2, 2)
+    assert seen == [False] and gc.isenabled()
+    monkeypatch.setattr(
+        isolation, "enumerate_reps", lambda fam: seen.append(gc.isenabled()) or enumerate_reps(fam)
+    )
+    assert isolation._index.__wrapped__("U", 2, 2) == table
+    assert seen == [False, False] and gc.isenabled()
+    gc.disable()
+    try:
+        isolation._index.__wrapped__("U", 2, 2)
+        assert seen == [False, False, False] and not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_decoded_verdicts_equal_the_sweep_past_61_cells():
