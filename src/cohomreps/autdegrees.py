@@ -3,7 +3,7 @@
 The first half computes, for a rank-n group and a divisor b of n, how far
 from the middle dimension pq a class pulled up from a proper parabolic
 datum can land. N(b, n, p) is the closed form of that defect; the brute
-force companion maximizes over all integer vectors directly and also
+force companion maximizes over all integer vectors up to order and also
 reports whether every reachable value has the same parity.
 
 The second half tags representations by which general vanishing or
@@ -58,20 +58,18 @@ def lemC_bruteforce(a: int, b: int, p: int):
     if p < 0 or p > a * b:
         raise DomainError(f"need 0 <= p <= a*b, got p={p}")
 
-    values = set()
-
-    def walk(slots: int, remaining: int, acc: int) -> None:
-        if remaining > slots * a:
-            return
-        if slots == 0:
+    # The sum ignores the order of the x_i, so only nonincreasing vectors
+    # are walked: a stack holds (slots, remaining, largest part allowed, sum
+    # so far), no part is below remaining / slots, zero parts add nothing.
+    values, stack = set(), [(b, p, a, 0)]
+    while stack:
+        slots, remaining, top, acc = stack.pop()
+        if not remaining:
             values.add(acc)
-            return
-        for x in range(min(a, remaining) + 1):
-            walk(slots - 1, remaining - x, acc + x * (a - x))
-
-    walk(b, p, 0)
-    parities = {v % 2 for v in values}
-    return max(values), len(parities) == 1
+            continue
+        for x in range(-(-remaining // slots), min(top, remaining) + 1):
+            stack.append((slots - 1, remaining - x, x, acc + x * (a - x)))
+    return max(values), len({v % 2 for v in values}) == 1
 
 
 # A larger degree support is refused, like MAX_REPS for enumeration.

@@ -126,7 +126,7 @@ def sweep_decode(max_pq: int):
 # Each check with its default scale: n for lemC, p+q (a+b for one block)
 # for the others.
 CHECKS = {
-    "lemC": (sweep_lemC, 12),
+    "lemC": (sweep_lemC, 30),
     "count": (sweep_count, 10),
     "gaussian": (sweep_gaussian, 4),
     "grassmannian": (sweep_grassmannian, 9),

@@ -249,22 +249,26 @@ def hodge_type(rep: CohRep):
 BLOCKS = {"her": ("U", 2), "quat": ("Sp", 4), "real": ("SO", 1)}
 
 
+def _key(rep: CohRep):
+    """What fixes the rep's Levi blocks, and R: (rectangles, flag == 0, R)
+    for U and Sp, so U shares with Sp flag 1, and (pairs, center, R) for O."""
+    if rep.orth is None:
+        return rep.skew.rectangles, rep.flag == 0, rep.R
+    return rep.orth.pairs, rep.orth.center, rep.R
+
+
+def _blocks(pairs, last):  # the block tags of a key, whose R they do not need
+    tags = [("her", a, b) for a, b in pairs]
+    if last is True:  # Sp flag 0
+        tags[-1] = ("quat", *pairs[-1])
+    elif last and 0 not in last:  # the center of O, unless a side is 0
+        tags.append(("real", *last))
+    return tuple(tags)
+
+
 def block_tags(rep: CohRep):
     """The Levi blocks of the rep's module, as tags in the table above."""
-    kind = rep.family.kind
-    if kind == "O":
-        tags = [("her", a, b) for a, b in rep.orth.pairs]
-        p0, q0 = rep.orth.center
-        if p0 and q0:
-            tags.append(("real", p0, q0))
-        return tuple(tags)
-    rects = rep.skew.rectangles
-    if kind == "Sp" and rep.flag == 0:
-        tags = [("her", a, b) for a, b in rects[:-1]]
-        a, b = rects[-1]
-        tags.append(("quat", a, b))
-        return tuple(tags)
-    return tuple(("her", a, b) for a, b in rects)
+    return _blocks(*_key(rep)[:2])
 
 
 def _negative(w):
@@ -328,18 +332,51 @@ MAX_CLOSED_DEGREE = 50_000
 MAX_CLOSED_WORK = 10_000_000
 
 
-# The cache holds one product per block tuple of degree at most
-# MAX_CACHED_DEGREE: 563 tuples for p+q <= 9, 1 099 for p+q <= 10, none of
-# them past degree 100. An entry has at most 513 coefficients, each below
-# 2^512 as they sum to at most 2^degree, so under 54 kB, and the 4 096
-# entries under 230 MB. A longer product (U(158,158) trivial holds 2.4 MiB)
-# is rebuilt on each call, in about 2 ms at degree 1 000; an evicted one is
-# rebuilt too.
+# A formatting memo starts over when it holds this many entries, so a stream
+# of values that never repeat, such as the lam and mu of O, does not grow it.
+# U(7,7) and Sp(7,7) keep theirs: 3 432 partitions and as many rectangle lists.
+MEMO_SIZE = 1 << 13
+
+
+class Memo(dict):
+    """The value `form` gives each key looked up, made once while the memo
+    lasts (MEMO_SIZE); Memo(brackets) names partitions, which are trusted
+    to be canonical."""
+
+    def __init__(self, form):
+        super().__init__()
+        self.form = form
+
+    def __missing__(self, key):
+        if len(self) >= MEMO_SIZE:
+            self.clear()
+        text = self[key] = self.form(key)
+        return text
+
+
+# Products holds a Poincare polynomial per key, `form` of the key's block
+# tags shifted by t^R, so a warm call is one dict lookup: 2 375 keys for
+# the 26 578 reps with p+q <= 9, 5 047 for the 75 152 with p+q <= 10. One
+# of degree at most MAX_CACHED_DEGREE, its R leading zeros counted, has at
+# most 513 coefficients below 2^512 (they sum to at most 2^degree): under
+# 54 kB, and MAX_PRODUCTS entries under 230 MB. As R plus the dimension is
+# at most 4pq, every rep with pq <= 128 is kept; a longer one (U(158,158)
+# trivial holds 2.4 MiB) is rebuilt per call, in 2 ms at degree 1 000.
 MAX_CACHED_DEGREE = 512
+MAX_PRODUCTS = 4096
 
 
-@lru_cache(maxsize=4096)
-def _closed_poincare(tags) -> IntPoly:
+class Products(Memo):
+    def __missing__(self, key):
+        poly = self.form(_blocks(*key[:2])).shift(key[2])
+        if poly.degree <= MAX_CACHED_DEGREE:
+            if len(self) >= MAX_PRODUCTS:
+                self.clear()
+            self[key] = poly
+        return poly
+
+
+def _closed_product(tags) -> IntPoly:
     degree, sides = _module_dimension(tags), sum(min(a, b) for _, a, b in tags)
     if degree > MAX_CLOSED_DEGREE or degree * sides > MAX_CLOSED_WORK:
         raise DomainError(
@@ -364,14 +401,12 @@ def poincare_closed(rep: CohRep) -> IntPoly:
     Hermitian blocks contribute a Gaussian binomial in t^2, quaternionic
     blocks one in t^4, and the real central block of the orthogonal family
     the Poincare polynomial of a real Grassmannian; the invariants engine
-    is never run. The product is cached per tuple of blocks, apart from the
-    oracle's cache, and shifted by t^R, so degrees are absolute. A product
-    past MAX_CLOSED_DEGREE or MAX_CLOSED_WORK is refused with DomainError
+    is never run. The product is shifted by t^R, so degrees are absolute,
+    and cached per key, apart from the oracle's cache. A product past
+    MAX_CLOSED_DEGREE or MAX_CLOSED_WORK is refused with DomainError
     before any factor is built.
     """
-    tags = block_tags(rep)
-    cached = _module_dimension(tags) <= MAX_CACHED_DEGREE
-    return (_closed_poincare if cached else _closed_poincare.__wrapped__)(tags).shift(rep.R)
+    return _CLOSED[_key(rep)]
 
 
 @lru_cache(maxsize=None)  # one short polynomial per module; 117 for p+q <= 8
@@ -382,43 +417,25 @@ def _oracle_poincare(module) -> IntPoly:
     return invariant_poincare(group, chi)
 
 
+_CLOSED = Products(_closed_product)
+_ORACLE = Products(lambda tags: _oracle_poincare(tuple(sorted(
+    (s, a, b) if a <= b else (s, b, a) for s, a, b in tags))))
+
+
 def poincare_oracle(rep: CohRep) -> IntPoly:
     """Same polynomial as poincare_closed, computed without factorizing.
 
     The whole module is fed to the exterior-power and Weyl-integration
-    machinery at once. Results are cached per module: the multiset of
-    blocks, each with its sides in order, since a block (a, b) is the block
-    (b, a) with its two factors swapped.
+    machinery at once. Results are cached per key, and the engine's per
+    module: the multiset of blocks, each with its sides in order, since a
+    block (a, b) is the block (b, a) with its two factors swapped.
     """
-    module = sorted([(s, a, b) if a <= b else (s, b, a) for s, a, b in block_tags(rep)])
-    return _oracle_poincare(tuple(module)).shift(rep.R)
+    return _ORACLE[_key(rep)]
 
 
 def full_cohomology(rep: CohRep):
     """Nonzero cohomology as ((degree, dimension), ...), degrees absolute."""
     return tuple((deg, c) for deg, c in enumerate(poincare_oracle(rep).coeffs) if c)
-
-
-# A formatting memo starts over when it holds this many entries, so a stream
-# of values that never repeat, such as the lam and mu of O, does not grow it.
-# U(7,7) and Sp(7,7) keep theirs: 3 432 partitions and as many rectangle lists.
-MEMO_SIZE = 1 << 13
-
-
-class Memo(dict):
-    """The text `form` gives each key looked up, formatted once while the
-    memo lasts (MEMO_SIZE); Memo(brackets) names partitions, which are
-    trusted to be canonical."""
-
-    def __init__(self, form):
-        super().__init__()
-        self.form = form
-
-    def __missing__(self, key):
-        if len(self) >= MEMO_SIZE:
-            self.clear()
-        text = self[key] = self.form(key)
-        return text
 
 
 def text_form(rep: CohRep, names=None) -> str:

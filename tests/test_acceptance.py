@@ -71,6 +71,7 @@ def test_criterion_1_at_signature_1_1():
 def test_criterion_2_defect_formula_matches_brute_force():
     t0 = time.monotonic()
     assert run("lemC", 12) == {"name": "lemC", "scale": 12, "cases": 299, "mismatches": []}
+    assert run("lemC") == {"name": "lemC", "scale": 30, "cases": 2060, "mismatches": []}
     assert time.monotonic() - t0 < 10
 
 

@@ -1,5 +1,9 @@
 """Degree defect formula, brute force companion, supports, coverage tags."""
 
+import time
+from collections import defaultdict
+from itertools import product
+
 import pytest
 
 from cohomreps import (
@@ -52,6 +56,28 @@ def test_brute_force_small():
     assert lemC_bruteforce(1, 3, 2) == (0, True)
     with pytest.raises(DomainError):
         lemC_bruteforce(2, 2, 5)
+
+
+def test_brute_force_walks_no_deeper_than_the_stack():
+    t0 = time.monotonic()
+    assert lemC_bruteforce(1, 1500, 0) == (0, True)
+    assert lemC_bruteforce(1, 3000, 1500) == (0, True)
+    assert time.monotonic() - t0 < 1
+
+
+def test_brute_force_matches_every_ordered_vector():
+    # every x in [0, a]^b, in any order, for (a + 1)^b <= 10^5 with a <= 10
+    for a in range(11):
+        for b in range(1, 17):
+            if (a + 1) ** b > 10**5:
+                break
+            term = [x * (a - x) for x in range(a + 1)]
+            values = defaultdict(set)
+            for xs in product(range(a + 1), repeat=b):
+                values[sum(xs)].add(sum(map(term.__getitem__, xs)))
+            for p in range(a * b + 1):
+                expected = max(values[p]), len({v % 2 for v in values[p]}) == 1
+                assert lemC_bruteforce(a, b, p) == expected, (a, b, p)
 
 
 @pytest.mark.parametrize("args", [(2, 2, 1.0), (2, True, 1), (2.0, 2, 1)])

@@ -319,6 +319,7 @@ def test_lp_character_checks_the_module_dimension(monkeypatch):
     std = characters.standard_weights
     monkeypatch.setattr(characters, "standard_weights", lambda factor: std(factor)[1:])
     monkeypatch.setattr(reps, "_oracle_poincare", lru_cache(reps._oracle_poincare.__wrapped__))
+    monkeypatch.setattr(reps, "_ORACLE", reps.Products(reps._ORACLE.form))
     rep = trivial_rep(Family("U", 2, 3))
     with pytest.raises(InvariantViolation, match="dimension 4, its Levi blocks give 12"):
         lp_character(rep)
@@ -334,6 +335,7 @@ def test_mirror_blocks_run_the_engine_once(monkeypatch):
         return IntPoly([1])
 
     monkeypatch.setattr(reps, "_oracle_poincare", lru_cache(reps._oracle_poincare.__wrapped__))
+    monkeypatch.setattr(reps, "_ORACLE", reps.Products(reps._ORACLE.form))
     monkeypatch.setattr(characters, "invariant_poincare", engine)
     first, second = trivial_rep(Family("Sp", 2, 4)), trivial_rep(Family("Sp", 4, 2))
     assert (block_tags(first), block_tags(second)) == ((("quat", 2, 4),), (("quat", 4, 2),))
@@ -405,13 +407,13 @@ def test_closed_product_never_runs_the_engine(monkeypatch):
         raise AssertionError("poincare_closed ran the invariants engine")
 
     monkeypatch.setattr(characters, "invariant_poincare", engine)
-    reps._closed_poincare.cache_clear()
+    reps._CLOSED.clear()
     for fam in [Family("O", 5, 5), Family("O", 6, 7), Family("Sp", 2, 3), Family("U", 3, 3)]:
         assert poincare_closed(trivial_rep(fam)).is_palindromic()
 
 
 def test_closed_product_past_its_bounds_is_refused(monkeypatch):
-    reps._closed_poincare.cache_clear()  # the bounds are checked on a miss
+    reps._CLOSED.clear()  # the bounds are checked on a miss
     # U(2,2) trivial: degree 8 over one block of shorter side 2, work 16
     monkeypatch.setattr(reps, "MAX_CLOSED_WORK", 16)
     assert poincare_closed(trivial_rep(Family("U", 2, 2))).degree == 8
@@ -426,16 +428,39 @@ def test_closed_product_past_its_bounds_is_refused(monkeypatch):
         poincare_closed(trivial_rep(Family("U", 159, 159)))
 
 
-def test_closed_products_past_the_cached_degree_are_not_cached():
+def test_closed_products_past_the_cached_degree_are_not_cached(monkeypatch):
     # U(16,16) trivial is one hermitian block of degree 512, U(16,17) of 544
-    reps._closed_poincare.cache_clear()
+    built = []
+
+    def build(tags):
+        built.append(tags)
+        return reps._closed_product(tags)
+
+    monkeypatch.setattr(reps, "_CLOSED", reps.Products(build))
     short, long = trivial_rep(Family("U", 16, 16)), trivial_rep(Family("U", 16, 17))
     assert poincare_closed(short).degree == reps.MAX_CACHED_DEGREE == 512
-    assert reps._closed_poincare.cache_info().currsize == 1
+    assert len(reps._CLOSED) == 1
     for _ in range(2):
         assert poincare_closed(long) == gaussian_binomial(33, 16).inflate(2).shift(long.R)
-    info = reps._closed_poincare.cache_info()
-    assert (info.currsize, info.hits, info.misses) == (1, 0, 1)
+    # the long product is built on each call and never stored
+    assert list(reps._CLOSED) == [reps._key(short)]
+    assert built == [(("her", 16, 16),)] + [(("her", 16, 17),)] * 2
+
+
+def test_a_warm_product_is_one_lookup(monkeypatch):
+    groups = [Family("U", 3, 3), Family("Sp", 2, 3), Family("O", 4, 5)]
+    every = [rep for fam in groups for rep in enumerate_reps(fam)]
+    assert {rep.flag for rep in every} == {None, 0, 1}
+    first = [(poincare_closed(rep), poincare_oracle(rep)) for rep in every]
+
+    def refuse(*args):
+        raise AssertionError("a warm product was built again")
+
+    monkeypatch.setattr(reps, "block_tags", refuse)
+    monkeypatch.setattr(reps, "_blocks", refuse)
+    monkeypatch.setattr(reps, "group_and_module", refuse)
+    monkeypatch.setattr(IntPoly, "shift", refuse)
+    assert [(poincare_closed(rep), poincare_oracle(rep)) for rep in every] == first
 
 
 def test_real_center_block_4_4():
