@@ -46,11 +46,19 @@ def N(b: int, n: int, p: int) -> int:
     return b * x * x + (b - 2 * p) * x + (a - 1) * p
 
 
+# The Lemma C walk is refused past this many parts tried: its cost follows
+# its depth as well as its partitions, so a count of steps bounds it. On 2
+# vCPUs a=40, b=40, p=800 and a=1, b=10^9, p=5*10^8 are refused in 0.6 to
+# 0.9 s; no call of `verify lemC --max-n 100` tries over 16 000 parts.
+MAX_LEMC_STEPS = 1_000_000
+
+
 def lemC_bruteforce(a: int, b: int, p: int):
     """Maximize sum x_i (a - x_i) over 0 <= x_i <= a with sum x_i = p.
 
     Returns (maximum, parity_uniform) where the flag records whether every
-    achievable value of the sum has the same parity.
+    achievable value of the sum has the same parity. A walk trying more
+    than MAX_LEMC_STEPS parts is refused with DomainError.
     """
     _require_ints("a b p", a, b, p)
     if a < 0 or b < 1:
@@ -61,13 +69,19 @@ def lemC_bruteforce(a: int, b: int, p: int):
     # The sum ignores the order of the x_i, so only nonincreasing vectors
     # are walked: a stack holds (slots, remaining, largest part allowed, sum
     # so far), no part is below remaining / slots, zero parts add nothing.
-    values, stack = set(), [(b, p, a, 0)]
+    values, stack, steps = set(), [(b, p, a, 0)], 0
     while stack:
         slots, remaining, top, acc = stack.pop()
         if not remaining:
             values.add(acc)
             continue
-        for x in range(-(-remaining // slots), min(top, remaining) + 1):
+        parts = range(-(-remaining // slots), min(top, remaining) + 1)
+        steps += len(parts)
+        if steps > MAX_LEMC_STEPS:
+            raise DomainError(
+                f"the walk of lemC_bruteforce({a}, {b}, {p}) tries over {MAX_LEMC_STEPS} parts"
+            )
+        for x in parts:
             stack.append((slots - 1, remaining - x, x, acc + x * (a - x)))
     return max(values), len({v % 2 for v in values}) == 1
 
@@ -152,63 +166,42 @@ def li_coverage(rep: CohRep) -> CoverageTag:
     """Coverage by the general nonvanishing results of Li.
 
     Unitary: one rectangle whose perimeter exceeds that of the box answers
-    the degree question. Orthogonal and quaternionic: a single large
-    central block answers the growth question.
+    the degree question. Orthogonal and quaternionic (flag 0): a single
+    large central block answers the growth question.
     """
-    fam = rep.family
-    p, q = fam.p, fam.q
-    if fam.kind == "U":
-        rects = rep.skew.rectangles
-        if len(rects) == 1 and 2 * (rects[0][0] + rects[0][1]) > p + q:
-            return CoverageTag("Q2", "LiGen")
-        return _NONE
-    if fam.kind == "O":
-        if (p + q) % 2 == 0:
-            p0, q0 = rep.orth.center
-            if not rep.orth.pairs and p0 and q0 and 2 * (p0 + q0) > p + q + 2:
-                return CoverageTag("Q1", "LiGen")
-            return _NONE
-        r = _flat_rows(rep.lam, p)
-        if r is not None and 4 * r < p + q - 2:
-            return CoverageTag("Q1", "LiGen")
-        return _NONE
-    # Sp
+    kind, p, q = rep.family
+    if kind == "O":
+        if (p + q) % 2:
+            r = _flat_rows(rep.lam, p)
+            covered = r is not None and 4 * r < p + q - 2
+        else:  # the centre is (0, 0), which never passes, or a rectangle
+            covered = not rep.orth.pairs and 2 * sum(rep.orth.center) > p + q + 2
+        return CoverageTag("Q1", "LiGen") if covered else _NONE
     rects = rep.skew.rectangles
-    if (
-        rep.flag == 0
-        and len(rects) == 1
-        and 2 * (rects[0][0] + rects[0][1]) >= p + q
-    ):
-        return CoverageTag("Q1", "LiGen")
-    return _NONE
+    perimeter = 2 * sum(rects[0]) if len(rects) == 1 else 0  # 0 never passes
+    if kind == "U":
+        return CoverageTag("Q2", "LiGen") if perimeter > p + q else _NONE
+    return CoverageTag("Q1", "LiGen") if rep.flag == 0 and perimeter >= p + q else _NONE
 
 
 def relth_coverage(rep: CohRep) -> CoverageTag:
-    """Coverage by relative theta transfer and by the tensor tricks.
-
-    Growth answers take precedence over degree answers, and within the
-    degree answers the transfer result is checked before the tensor ones.
+    """Coverage by relative theta transfer and by the tensor tricks, read
+    from the flat values r of lam and c of mu (see _flat_rows). Growth
+    answers (Q1) come before degree answers (Q2), transfer before tensor.
     """
-    fam = rep.family
-    p, q = fam.p, fam.q
+    kind, p, q = rep.family
+    if kind == "Sp":  # the tensor trick's reps all pass this, so it never decides
+        covered = rep.flag == 0 and not rep.lam and _flat_rows(rep.mu, p) is not None
+        return CoverageTag("Q1", "relth") if covered else _NONE
     r = _flat_rows(rep.lam, p)
-    c = _flat_rows(rep.mu, p) if fam.kind != "O" else None
-
-    if fam.kind == "O" and p >= 2 and r is not None:
-        if 2 * r <= min(q - 2, p + q - 5):
-            return CoverageTag("Q1", "relth")
-    if fam.kind == "Sp" and rep.flag == 0 and rep.lam == () and c is not None:
-        return CoverageTag("Q1", "relth")
-    if fam.kind == "U" and p >= 2 and r is not None and c is not None:
-        if c >= r + 2:
-            return CoverageTag("Q2", "relth")
-    if p >= 2:
-        if fam.kind == "U" and r is not None and c is not None:
-            if r + c == q and 2 * r <= q:
-                return CoverageTag("Q2", "ttt")
-        if fam.kind == "O" and r is not None and 2 * r <= q:
-            return CoverageTag("Q2", "ttt")
-        if fam.kind == "Sp" and rep.flag == 0 and rep.lam == ():
-            if c is not None and (q - c) % 2 == 0:
-                return CoverageTag("Q2", "ttt")
-    return _NONE
+    if p < 2 or r is None:
+        return _NONE
+    if kind == "O":  # (r^p) lies in its complement ((q - r)^p): 2r <= q holds
+        growth = 2 * r <= min(q - 2, p + q - 5)
+        return CoverageTag("Q1", "relth") if growth else CoverageTag("Q2", "ttt")
+    c = _flat_rows(rep.mu, p)
+    if c is None:
+        return _NONE
+    if c >= r + 2:
+        return CoverageTag("Q2", "relth")
+    return CoverageTag("Q2", "ttt") if r + c == q else _NONE  # lam in mu: r <= c, so 2r <= q

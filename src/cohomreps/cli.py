@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .errors import CohomrepsError, InvariantViolation
-from .partitions import brackets, parse_partition
+from .partitions import parse_partition
 from .reps import (
     Family,
     Memo,
@@ -200,10 +200,9 @@ def _write_rows(head: str, rows, sep: str, tail: str, count: int) -> None:
 
 
 def _tsv_rows(reps):
-    names = Memo(brackets)
     for rep in reps:
         flag = "-" if rep.flag is None else rep.flag
-        yield f"{text_form(rep, names)}\t{list(rep.lam)}\t{list(rep.mu)}\t{flag}\t{rep.R}"
+        yield f"{text_form(rep)}\t{list(rep.lam)}\t{list(rep.mu)}\t{flag}\t{rep.R}"
 
 
 def _json_list(xs, pad: str) -> str:
@@ -234,9 +233,8 @@ def _json_rows(reps):
     """Each rep as its row of the enumerate document, from list and
     partition strings formatted once per distinct value."""
     # _json_list at the indent of a row's fields, once per distinct tuple
-    lists, names = Memo(partial(_json_list, pad="      ")), Memo(brackets)
+    lists = Memo(partial(_json_list, pad="      "))
     for rep in reps:
-        text = text_form(rep, names)
         yield (
             "    {\n"
             f'      "R": {rep.R},\n'
@@ -244,7 +242,7 @@ def _json_rows(reps):
             f'      "lambda": {lists[rep.lam]},\n'
             f'      "mu": {lists[rep.mu]},\n'
             f'      "rectangles": {lists[rep.skew.rectangles]},\n'
-            f'      "text": {encode_basestring_ascii(text)}\n'
+            f'      "text": {encode_basestring_ascii(text_form(rep))}\n'
             "    }"
         )
 

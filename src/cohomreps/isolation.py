@@ -244,11 +244,13 @@ def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
 
     Draw the boundary paths of both partitions inside the p x q box. The
     representation is isolated exactly when every rectangle of the skew
-    shape is at least 2x2 and the two paths never turn at a common point.
-    Crossings of the top and bottom edges of the box count as turns, which
-    the sentinels q+1 and -1 below arrange. A turn where a path merges
-    into the left wall, or leaves the right wall, is not a genuine corner
-    and is ignored. Witness strings describe the violated condition.
+    shape is at least 2x2 and the two paths never turn at a common point,
+    which can only lie on an empty row (x, x]. Since lam lies inside mu,
+    both leave column x below that row when mu does, and both drop to it
+    above the row when lam does. Above the box lam reads q and below it mu
+    reads 0, so a crossing of the top or bottom edge counts as a turn, and
+    a path merging into the left wall or leaving the right wall does not.
+    Witness strings describe the violated condition.
     """
     _require(rep, "U")
     p, q = rep.family.p, rep.family.q
@@ -258,17 +260,17 @@ def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
             witnesses.append(
                 f"rectangle {i + 1} has size {a}x{b}, a strip of width 1"
             )
-    lam_pad = [q + 1] + list(rep.lam) + [0] * (p - len(rep.lam)) + [-1]
-    mu_pad = [q + 1] + list(rep.mu) + [0] * (p - len(rep.mu)) + [-1]
+    lam = (q, *rep.lam) + (0,) * (p - len(rep.lam))  # rows 0..p
+    mu = rep.mu + (0,) * (p + 1 - len(rep.mu))  # rows 1..p+1
     for i in range(1, p + 1):
-        x = lam_pad[i]
-        if x != mu_pad[i]:
+        x = lam[i]
+        if x != mu[i - 1]:
             continue
-        if x > 0 and lam_pad[i + 1] < x and mu_pad[i + 1] < x:
+        if mu[i] < x:
             witnesses.append(
                 f"both paths leave column {x} below row {i}"
             )
-        if x < q and lam_pad[i - 1] > x and mu_pad[i - 1] > x:
+        if lam[i - 1] > x:
             witnesses.append(
                 f"both paths drop to column {x} above row {i}"
             )

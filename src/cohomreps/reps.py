@@ -438,17 +438,18 @@ def full_cohomology(rep: CohRep):
     return tuple((deg, c) for deg, c in enumerate(poincare_oracle(rep).coeffs) if c)
 
 
-def text_form(rep: CohRep, names=None) -> str:
-    """The rep as text, e.g. U(2,2) A[[1]|[2,1]]; a caller formatting many
-    reps passes one Memo(brackets) for all of them."""
-    # lam and mu were validated when the rep was built
-    if names is None:
-        names = Memo(brackets)
+# every call of text_form names its lam and mu here, validated with the rep
+_NAMES = Memo(brackets)
+
+
+def text_form(rep: CohRep) -> str:
+    """The rep as text, e.g. U(2,2) A[[1]|[2,1]]; each partition is named
+    once while the module's memo lasts (MEMO_SIZE)."""
     kind, p, q = rep.family
     head = f"{kind}({p},{q})"
     if kind == "O":
-        return f"{head} A[{names[rep.lam]}]"
-    body = f"A[{names[rep.lam]}|{names[rep.mu]}]"
+        return f"{head} A[{_NAMES[rep.lam]}]"
+    body = f"A[{_NAMES[rep.lam]}|{_NAMES[rep.mu]}]"
     if kind == "Sp":
         return f"{head} {body}_{rep.flag}"
     return f"{head} {body}"

@@ -1,5 +1,6 @@
 """Degree defect formula, brute force companion, supports, coverage tags."""
 
+import hashlib
 import time
 from collections import defaultdict
 from itertools import product
@@ -13,13 +14,16 @@ from cohomreps import (
     NotADivisor,
     SignatureMismatch,
     degree_support,
+    enumerate_reps,
     lemC_bruteforce,
     li_coverage,
     make_rep,
     relth_coverage,
+    text_form,
     trivial_rep,
 )
-from cohomreps.autdegrees import MAX_N
+from cohomreps import autdegrees
+from cohomreps.autdegrees import MAX_LEMC_STEPS, MAX_N
 from cohomreps.checks import run
 
 
@@ -63,6 +67,24 @@ def test_brute_force_walks_no_deeper_than_the_stack():
     assert lemC_bruteforce(1, 1500, 0) == (0, True)
     assert lemC_bruteforce(1, 3000, 1500) == (0, True)
     assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize("args", [(40, 40, 800), (1, 10**9, 5 * 10**8)])
+def test_brute_force_refuses_a_walk_past_its_step_bound(args):
+    # many partitions, and one partition 5 * 10^8 parts deep
+    t0 = time.monotonic()
+    with pytest.raises(DomainError, match=f"tries over {MAX_LEMC_STEPS} parts"):
+        lemC_bruteforce(*args)
+    assert time.monotonic() - t0 < 5
+
+
+def test_brute_force_step_bound_counts_each_part_tried(monkeypatch):
+    # (2, 2, 2) tries the parts 1 and 2 first, then 1 under the first 1
+    monkeypatch.setattr(autdegrees, "MAX_LEMC_STEPS", 3)
+    assert lemC_bruteforce(2, 2, 2) == (2, True)
+    monkeypatch.setattr(autdegrees, "MAX_LEMC_STEPS", 2)
+    with pytest.raises(DomainError, match="tries over 2 parts"):
+        lemC_bruteforce(2, 2, 2)
 
 
 def test_brute_force_matches_every_ordered_vector():
@@ -177,3 +199,26 @@ class TestCoverage:
         rep = make_rep(Family("U", 2, 2), (2, 1), (2, 1))
         assert li_coverage(rep).tag == "none"
         assert li_coverage(rep).source is None
+
+    def test_orthogonal_even_central_block(self):
+        # O(4,4) A[[]]: no pairs, and the central block is the whole 4 x 4 box
+        tag = li_coverage(make_rep(Family("O", 4, 4), ()))
+        assert (tag.tag, tag.source) == ("Q1", "LiGen")
+
+    def test_unitary_transfer(self):
+        # U(2,3) A[[]|[2,2]]: lam is empty (r = 0) and mu is (2, 2), so c = r + 2
+        tag = relth_coverage(make_rep(Family("U", 2, 3), (), (2, 2)))
+        assert (tag.tag, tag.source) == ("Q2", "relth")
+
+    def test_tag_digest_is_pinned(self):
+        # both tags of every rep with p+q <= 10
+        digest, count = hashlib.sha256(), 0
+        for kind in ("U", "O", "Sp"):
+            for n in range(2, 11):
+                for p in range(1, n):
+                    for rep in enumerate_reps(Family(kind, p, n - p)):
+                        tags = (text_form(rep), li_coverage(rep), relth_coverage(rep))
+                        digest.update(repr(tags).encode())
+                        count += 1
+        assert count == 75152
+        assert digest.hexdigest() == "a2b0b238539323a57893b63212ae9e215462e245f0230a2e9cb2fd12ea829726"

@@ -107,6 +107,18 @@ class TestUnitaryExplicit:
         assert not verdict.isolated
         assert not isolated_U_search(rep).isolated
 
+    def test_witness_digest_is_pinned(self):
+        # the text and explicit verdict, witness strings in order, of every
+        # rep of U(p,q) with p+q <= 10
+        digest, count = hashlib.sha256(), 0
+        for n in range(2, 11):
+            for p in range(1, n):
+                for rep in enumerate_reps(Family("U", p, n - p)):
+                    digest.update(repr((text_form(rep), isolated_U_explicit(rep))).encode())
+                    count += 1
+        assert count == 32483
+        assert digest.hexdigest() == "6ee7aa6b7fdaf5309932e02ec41855655284c84860bf7a45b2ea9049e8fc6042"
+
 
 class TestOrthogonal:
     def test_witness_for_2_4(self):
