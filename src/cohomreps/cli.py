@@ -341,6 +341,11 @@ def _cmd_restrict(args) -> int:
 def _cmd_verify(args) -> int:
     from . import checks
 
+    # a single check refuses the scale option it would ignore; all reads both
+    reads, unread = ("--max-n", args.max_pq) if args.subject == "lemC" else ("--max-pq", args.max_n)
+    if args.subject != "all" and unread is not None:
+        print(f"cohomreps verify: error: {args.subject} reads {reads} only", file=sys.stderr)
+        return 2
     names = list(checks.CHECKS) if args.subject == "all" else [args.subject]
     results = [checks.run(name, args.max_n if name == "lemC" else args.max_pq) for name in names]
     # a check that ran no cases checked nothing, so it does not pass

@@ -79,8 +79,12 @@ def _require_in_box(lam: Partition, p: int, q: int) -> Partition:
 
 def complement(lam: Partition, p: int, q: int) -> Partition:
     """180-degree rotated complement of lam inside the p x q box."""
-    padded = _padded(_require_in_box(lam, p, q), p)
-    return canonical(tuple(q - padded[p - 1 - i] for i in range(p)))
+    return _complement(_padded(_require_in_box(lam, p, q), p), q)
+
+
+def _complement(rows: tuple, q: int) -> Partition:
+    """The canonical complement of a partition padded to the box height."""
+    return tuple(q - x for x in reversed(rows[rows.count(q) :]))  # a part q leaves a zero
 
 
 def contains(inner: Partition, outer: Partition) -> bool:
@@ -246,13 +250,12 @@ class OrthogonalDecomposition(NamedTuple):
 
 def orthogonal_decomposition(lam: Partition, p: int, q: int) -> OrthogonalDecomposition:
     lam = _require_in_box(lam, p, q)
-    mu = complement(lam, p, q)
-    if not contains(lam, mu):
-        raise NotOrthogonal(
-            f"{lam} is not contained in its complement {mu} in {p}x{q}"
-        )
+    rows = _padded(lam, p)
+    mu = _complement(rows, q)
+    if any(x + y > q for x, y in zip(rows, reversed(rows))):  # lam_i > mu_i
+        raise NotOrthogonal(f"{lam} is not contained in its complement {mu} in {p}x{q}")
     try:
-        skew = rectangle_decomposition(lam, mu, p, q)
+        skew = _skew(rows, _padded(mu, p), q)
     except NotCompatible as exc:
         raise NotOrthogonal(str(exc)) from exc
     return _palindrome(lam, skew, p, q)
@@ -282,45 +285,42 @@ def _palindrome(
 def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
     """Every orthogonal lam in the p x q box as (lam, complement, decomposition).
 
-    Lex order in lam, built row by row. Row i of the skew is (lam_i, q - lam_j],
-    j = p - 1 - i its mirror, so lam lies in its complement iff lam_i + lam_j
-    <= q: a row past the middle is bounded by its mirror, the middle row by
-    q // 2. By central symmetry the skew is compatible when its lower half is,
-    so a lower row is kept only when it follows the row above; it adds its
-    cells and its mirror's, and its rectangle at both ends of the list, or
-    grows the ends when it continues the row above. The palindrome tripwire
-    runs on every result."""
+    Lex order in lam. Row i of the skew is (lam_i, q - lam_j], j = p - 1 - i its mirror,
+    so the skew is compatible when its lower half is. The upper (p + 1) // 2 rows come
+    from the box walk, an odd middle (x, q - x] needing 2x <= q. They fix each lower
+    row's hi; its lo is the rule of follows solved for lo under the row above (a, b],
+    which for the first lower row is (x, q - x], x the last upper part: for even p its
+    own mirror, followed on the same terms. The palindrome tripwire runs on each lam."""
     check_box(p, q)
-    stack = [((), (), 0)]  # (lam, the rectangles and cells of its rows but the last)
-    while stack:
-        lam, rects, cells = stack.pop()
-        i, j = len(lam) - 1, p - len(lam)  # the row just picked and its mirror
-        if j <= i:
-            row = lo, hi = lam[i], q - lam[j]
-            above = (lam[i - 1], q - lam[j + 1]) if j < i else None
-            if above and not follows(above, row):
-                continue
-            if lo < hi:
-                end, cells = Rectangle(1, hi - lo), cells | ((1 << hi) - (1 << lo)) << i * q
-                if above:  # and the mirror (q - hi, q - lo] in row j
-                    cells |= ((1 << q - lo) - (1 << q - hi)) << j * q
-                if row != above:  # a new rectangle, at both ends but in the middle row
-                    rects = (end,) + rects + (end,) if above else (end,)
-                elif len(rects) > 1:  # continued: the end rectangles grow a row
-                    end = Rectangle(rects[-1].rows + 1, hi - lo)
-                    rects = (end,) + rects[1:-1] + (end,)
-                else:  # the middle rectangle, alone in the list, grows two
-                    rects = (Rectangle(rects[0].rows + 2 if rects else 2, hi - lo),)
-        if i + 1 == p:
-            comp, skew = tuple(q - x for x in reversed(lam)), SkewDecomposition(rects, cells)
-            lam = lam[: p - lam.count(0)]
-            yield lam, comp[: p - comp.count(0)], _palindrome(lam, skew, p, q)
+    m = p // 2  # the lower rows, below the upper p - m
+    for upper in _box_partitions(p - m, q):
+        rows = _padded(upper, p - m)
+        x = rows[-1] if p else 0  # the last upper part
+        if p % 2 and 2 * x > q:
             continue
-        i, j, top = i + 1, j - 1, lam[-1] if lam else q  # the next row and its mirror
-        # a lower row (x, q - lam_j] follows one starting at top if q - lam_j <= top or x = top
-        stop = top - 1 if j < i and q - lam[j] > top else -1
-        bound = min(top, q - lam[j] if j < i else q // 2 if j == i else q)
-        stack += [(lam + (x,), rects, cells) for x in range(bound, stop, -1)]
+        middle = p % 2 * (2 * x < q)  # the one row of a nonempty middle
+        level = [((x,), (), middle, ((1 << q - x) - (1 << x)) << m * q if middle else 0)]
+        edges = (q - x,) + tuple(q - y for y in reversed(rows[:m]))  # b, then each hi
+        for k in range(m):  # lower row p - m + k from bit s, its mirror row m - 1 - k below bit u
+            b, hi, s, u, grown = edges[k], edges[k + 1], (p - m + k) * q, (m - k) * q, []
+            ends = (1 << s + hi) - (1 << u - hi)  # the hi ends of (lo, hi] and its mirror
+            for lower, rects, centre, cells in level:  # lower: x, then the lower rows
+                a = lower[-1]
+                if hi <= a:  # lo < hi opens a rectangle; the empty row lo = hi comes last
+                    grown += [(lower + (lo,), rects + (Rectangle(1, hi - lo),), centre,
+                               cells | ends + (1 << u - lo) - (1 << s + lo)) for lo in range(hi)]
+                    grown.append((lower + (hi,), rects, centre, cells))
+                elif b == hi and a < b:  # lo = a continues a lower rectangle, or the centre
+                    end = rects and rects[:-1] + (Rectangle(rects[-1].rows + 1, hi - a),)
+                    cells |= ends + (1 << u - a) - (1 << s + a)
+                    grown.append((lower + (a,), end, centre + 2 * (not rects), cells))
+            level = grown
+        for lower, rects, centre, cells in level:
+            mid = (Rectangle(centre, q - 2 * x),) if centre else ()
+            skew = SkewDecomposition(rects[::-1] + mid + rects, cells)
+            lam = rows + lower[1:]
+            canon = lam[: p - lam.count(0)]
+            yield canon, _complement(lam, q), _palindrome(canon, skew, p, q)
 
 
 def count_orthogonal(p: int, q: int) -> int:

@@ -372,6 +372,17 @@ def test_verify_passes(capsys, argv):
     assert all(c["cases"] > 0 and not c["mismatches"] for c in doc["checks"])
 
 
+@pytest.mark.parametrize(
+    "argv, reads",
+    [(("lemC", "--max-pq", "3"), "--max-n"), (("poincare", "--max-n", "3"), "--max-pq")],
+)
+def test_verify_refuses_the_option_its_check_does_not_read(capsys, argv, reads):
+    assert main(["verify", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{argv[0]} reads {reads} only" in err
+
+
 def test_verify_mismatch_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(checks.CHECKS, "lemC", (lambda scale: [("a", True), ("b", False)], 12))
     code, doc = run_json(capsys, "verify", "lemC", "--max-n", "2")
