@@ -17,7 +17,7 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 from .errors import DomainError, NotADivisor, SignatureMismatch
-from .reps import CohRep
+from .reps import CohRep, Memo
 
 CONDITIONAL_NOTE = (
     "assumes every automorphic representation with cohomology comes from "
@@ -27,9 +27,9 @@ CONDITIONAL_NOTE = (
 
 def _require_ints(names: str, *values) -> None:
     """DomainError unless every value is an int; bools are not."""
-    for name, x in zip(names.split(), values):
+    for i, x in enumerate(values):
         if type(x) is not int:
-            raise DomainError(f"{name} must be an integer, got {x!r}")
+            raise DomainError(f"{names.split()[i]} must be an integer, got {x!r}")
 
 
 def N(b: int, n: int, p: int) -> int:
@@ -51,21 +51,31 @@ def N(b: int, n: int, p: int) -> int:
 # vCPUs a=40, b=40, p=800 and a=1, b=10^9, p=5*10^8 are refused in 0.6 to
 # 0.9 s; no call of `verify lemC --max-n 100` tries over 16 000 parts.
 MAX_LEMC_STEPS = 1_000_000
+_REFUSED = "the walk of lemC_bruteforce({}, {}, {}) tries over {} parts"
 
 
 def lemC_bruteforce(a: int, b: int, p: int):
     """Maximize sum x_i (a - x_i) over 0 <= x_i <= a with sum x_i = p.
 
     Returns (maximum, parity_uniform) where the flag records whether every
-    achievable value of the sum has the same parity. A walk trying more
-    than MAX_LEMC_STEPS parts is refused with DomainError.
+    achievable value of the sum has the same parity. The walk runs once per
+    (a, b, p) while its memo lasts; one trying more than MAX_LEMC_STEPS
+    parts is refused with DomainError, remembered or not.
     """
     _require_ints("a b p", a, b, p)
     if a < 0 or b < 1:
         raise DomainError(f"need a >= 0 and b >= 1, got a={a} b={b}")
     if p < 0 or p > a * b:
         raise DomainError(f"need 0 <= p <= a*b, got p={p}")
+    best, uniform, steps = _WALKS[a, b, p]
+    if steps > MAX_LEMC_STEPS:
+        raise DomainError(_REFUSED.format(a, b, p, MAX_LEMC_STEPS))
+    return best, uniform
 
+
+def _walk(key: tuple) -> tuple:
+    """(maximum, parity_uniform, parts tried) of one walk, or DomainError."""
+    a, b, p = key
     # The sum ignores the order of the x_i, so only nonincreasing vectors
     # are walked: a stack holds (slots, remaining, largest part allowed, sum
     # so far), no part is below remaining / slots, zero parts add nothing.
@@ -78,12 +88,13 @@ def lemC_bruteforce(a: int, b: int, p: int):
         parts = range(-(-remaining // slots), min(top, remaining) + 1)
         steps += len(parts)
         if steps > MAX_LEMC_STEPS:
-            raise DomainError(
-                f"the walk of lemC_bruteforce({a}, {b}, {p}) tries over {MAX_LEMC_STEPS} parts"
-            )
+            raise DomainError(_REFUSED.format(a, b, p, MAX_LEMC_STEPS))
         for x in parts:
             stack.append((slots - 1, remaining - x, x, acc + x * (a - x)))
-    return max(values), len({v % 2 for v in values}) == 1
+    return max(values), len({v % 2 for v in values}) == 1, steps
+
+
+_WALKS = Memo(_walk)
 
 
 # A larger degree support is refused, like MAX_REPS for enumeration.

@@ -8,9 +8,9 @@ vectors at infinity ("degree zero" spectrum) only looks at enlargements of
 the cell set. In both cases the verdict carries the list of offending
 neighbor parameters, so an empty witness list is equivalent to isolation.
 The search merges the sorted labels of the neighbor cell sets that some
-parameter carries. A sweep over a group looks the merged witnesses up in
-its neighbor table, built once per group; `verdicts` decodes and merges the
-neighbors of one parameter instead, which suits one query.
+parameter carries. A sweep over a group looks its finished verdicts up in
+the group's neighbor table, built once per group; `verdicts` decodes and
+merges the neighbors of one parameter instead, which suits one query.
 
 The unitary family also has a closed-form criterion on the rectangles of
 the skew shape; it is implemented separately so the two can be compared.
@@ -34,14 +34,19 @@ class IsolationVerdict(NamedTuple):
     criterion: str
 
 
+_ISOLATED = IsolationVerdict(True, (), "search")  # every isolated verdict is one object
+_EXPLICIT_ISOLATED = IsolationVerdict(True, (), "explicit")
+
+
 @lru_cache(maxsize=None)  # one entry per group, like the unbounded _enumerate_cached
 @collector_paused()  # all it builds stays in the table, like _enumerate_cached
 def _index(kind: str, p: int, q: int):
     """The neighbor table of a group: each cell bitmask its parameters carry
-    mapped to the merged witness tuples of its searches under all flips,
-    under those that add cells, and if it admits flag 0 the same two for the
-    flips keeping its block, whose `_0` labels are built once per table. Sp
-    reads the unitary table, which holds the same pairs."""
+    mapped to the finished verdicts of its searches under all flips, under
+    those that add cells, and if it admits flag 0 the same two for the flips
+    keeping its block, whose `_0` labels are built once per table, so every
+    sweep only looks its verdict up. Sp reads the unitary table, which
+    holds the same pairs."""
     labels, blocks, names = {}, {}, Memo(brackets)
     for rep in enumerate_reps(Family(kind, p, q)):
         lam = names[rep.lam]
@@ -206,9 +211,10 @@ def _neighbors(rep: CohRep) -> list:
 
 
 def _merge(cells: int, neighbors: list, runs: list, block=None) -> tuple:
-    """The witnesses of a mask under all flips and under those adding cells,
-    from the sorted label run of each neighbor mask; for a flag-0 `block`,
-    whose labels end in `_0`, the first also needs the block big enough."""
+    """The search verdicts of a mask under all flips and under those adding
+    cells, from the sorted label run of each neighbor mask; for a flag-0
+    `block`, whose labels end in `_0`, the first also needs the block big
+    enough."""
     # A label belongs to one bitmask, so the runs of distinct neighbors are
     # disjoint, and sorting their concatenation merges the sorted runs.
     dual = sorted(chain.from_iterable(runs))
@@ -218,13 +224,13 @@ def _merge(cells: int, neighbors: list, runs: list, block=None) -> tuple:
             "to sum to at least 3".format(*block)
         )
     grown = compress(runs, map(cells.__lt__, neighbors))
-    return tuple(dual), tuple(sorted(chain.from_iterable(grown)))
+    found = tuple(dual), tuple(sorted(chain.from_iterable(grown)))
+    return tuple(IsolationVerdict(False, wits, "search") if wits else _ISOLATED for wits in found)
 
 
 def _sweep(rep: CohRep, kind: str, grow_only=False) -> IsolationVerdict:
     """The verdict the table of `rep`'s group holds for it: one lookup."""
-    wits = _index(kind, rep.family.p, rep.family.q)[rep.skew.cells][grow_only + 2 * (rep.flag == 0)]
-    return IsolationVerdict(not wits, wits, "search")
+    return _index(kind, rep.family.p, rep.family.q)[rep.skew.cells][grow_only + 2 * (rep.flag == 0)]
 
 
 def _require(rep: CohRep, kind: str) -> None:
@@ -250,32 +256,40 @@ def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
     above the row when lam does. Above the box lam reads q and below it mu
     reads 0, so a crossing of the top or bottom edge counts as a turn, and
     a path merging into the left wall or leaving the right wall does not.
-    Witness strings describe the violated condition.
+    Witness strings describe the violated condition; calls share their text
+    and the verdict of every isolated rep.
     """
     _require(rep, "U")
-    p, q = rep.family.p, rep.family.q
-    witnesses = []
-    for i, (a, b) in enumerate(rep.skew.rectangles):
-        if min(a, b) < 2:
-            witnesses.append(
-                f"rectangle {i + 1} has size {a}x{b}, a strip of width 1"
-            )
-    lam = (q, *rep.lam) + (0,) * (p - len(rep.lam))  # rows 0..p
-    mu = rep.mu + (0,) * (p + 1 - len(rep.mu))  # rows 1..p+1
-    for i in range(1, p + 1):
-        x = lam[i]
-        if x != mu[i - 1]:
-            continue
-        if mu[i] < x:
-            witnesses.append(
-                f"both paths leave column {x} below row {i}"
-            )
-        if lam[i - 1] > x:
-            witnesses.append(
-                f"both paths drop to column {x} above row {i}"
-            )
-    wits = tuple(witnesses)
-    return IsolationVerdict(not wits, wits, "explicit")
+    lam, mu = rep.lam, rep.mu
+    # Rows 1..len(lam) are empty where lam_i = mu_i, the rest down to
+    # len(mu) are not, and lam can only drop to row len(mu) + 1, at 0.
+    turns, above = [], rep.family.q  # lam above the box reads q
+    for i, (x, y) in enumerate(zip(lam, mu), 1):
+        if x == y:
+            leave, drop = _TURNS[x, i]
+            if i == len(mu) or mu[i] < x:
+                turns.append(leave)
+            if above > x:
+                turns.append(drop)
+        above = x
+    if len(lam) == len(mu) < rep.family.p:
+        turns.append(_TURNS[0, len(mu) + 1][1])
+    wits = _STRIPS[rep.skew.rectangles] + tuple(turns)
+    return IsolationVerdict(False, wits, "explicit") if wits else _EXPLICIT_ISOLATED
+
+
+_STRIPS = Memo(
+    lambda rects: tuple(
+        f"rectangle {i} has size {a}x{b}, a strip of width 1"
+        for i, (a, b) in enumerate(rects, 1) if min(a, b) < 2
+    )
+)
+_TURNS = Memo(  # keyed by (column, row)
+    lambda at: (
+        "both paths leave column {} below row {}".format(*at),
+        "both paths drop to column {} above row {}".format(*at),
+    )
+)
 
 
 def isolated_O(rep: CohRep) -> IsolationVerdict:
@@ -341,8 +355,7 @@ def verdicts(rep: CohRep) -> tuple:
     runs = [_labels(kind, p, q, shape) for shape in shapes]
     if block:  # no label is a prefix of another, so suffixed they stay sorted
         runs = [tuple(label + "_0" for label in run) for run in runs]
-    wits = _merge(rep.skew.cells, neighbors, runs, block)
-    dual, d0 = (IsolationVerdict(not w, w, "search") for w in wits)
+    dual, d0 = _merge(rep.skew.cells, neighbors, runs, block)
     explicit = isolated_U_explicit(rep) if kind == "U" else None
     return dual, explicit, d0
 

@@ -72,7 +72,8 @@ def fits_in_box(lam: Partition, p: int, q: int) -> bool:
 
 def _require_in_box(lam: Partition, p: int, q: int) -> Partition:
     lam = canonical(lam)
-    if not fits_in_box(lam, p, q):
+    check_box(p, q)
+    if len(lam) > p or lam and lam[0] > q:
         raise BoxOverflow(f"partition {lam} does not fit in a {p}x{q} box")
     return lam
 

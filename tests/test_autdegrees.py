@@ -6,6 +6,8 @@ from collections import defaultdict
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomreps import (
     DomainError,
@@ -25,6 +27,7 @@ from cohomreps import (
 from cohomreps import autdegrees
 from cohomreps.autdegrees import MAX_LEMC_STEPS, MAX_N
 from cohomreps.checks import run
+from cohomreps.reps import Memo
 
 
 class TestDefectFormula:
@@ -106,6 +109,53 @@ def test_brute_force_matches_every_ordered_vector():
 def test_brute_force_rejects_non_integers(args):
     with pytest.raises(DomainError, match="must be an integer"):
         lemC_bruteforce(*args)
+
+
+def test_a_refused_walk_is_not_remembered(monkeypatch):
+    monkeypatch.setattr(autdegrees, "_WALKS", Memo(autdegrees._walk))
+    monkeypatch.setattr(autdegrees, "MAX_LEMC_STEPS", 2)
+    with pytest.raises(DomainError, match="tries over 2 parts"):
+        lemC_bruteforce(2, 2, 2)
+    assert not autdegrees._WALKS
+    monkeypatch.setattr(autdegrees, "MAX_LEMC_STEPS", 3)
+    assert lemC_bruteforce(2, 2, 2) == (2, True)
+    assert autdegrees._WALKS == {(2, 2, 2): (2, True, 3)}
+
+
+@st.composite
+def valid_calls(draw):
+    """A function of autdegrees taking three ints, the names of its
+    arguments and one valid call of it, with every number at most 6."""
+    a, b = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    p = draw(st.integers(0, a * b))
+    return draw(
+        st.sampled_from(
+            [
+                (N, "b n p", (b, a * b, p)),
+                (lemC_bruteforce, "a b p", (a, b, p)),
+                (degree_support, "n p q", (a + b, min(a, b), max(a, b))),
+            ]
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_calls(), st.integers(0, 2), st.one_of(st.booleans(), st.floats(), st.text()))
+def test_a_non_int_argument_is_refused_by_name(call, slot, bad):
+    # also once the all-int call has run, and so been memoized where the
+    # function keeps a memo: validation comes before any lookup
+    fn, names, args = call
+    fn(*args)
+    args = args[:slot] + (bad,) + args[slot + 1 :]
+    with pytest.raises(DomainError, match=f"^{names.split()[slot]} must be an integer, got "):
+        fn(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+def test_brute_force_maximum_is_the_closed_form(a, b, data):
+    p = data.draw(st.integers(0, a * b))
+    assert lemC_bruteforce(a, b, p)[0] == N(b, a * b, p)
 
 
 class TestDegreeSupport:

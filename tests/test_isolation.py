@@ -107,6 +107,20 @@ class TestUnitaryExplicit:
         assert not verdict.isolated
         assert not isolated_U_search(rep).isolated
 
+    def test_isolated_verdicts_and_witness_text_are_shared(self):
+        # one isolated verdict, and one string per turn point and per strip
+        # of a rectangle tuple, however many reps find them
+        texts, isolated, seen = {}, set(), 0
+        for rep in enumerate_reps(Family("U", 4, 4)):
+            verdict = isolated_U_explicit(rep)
+            if verdict.isolated:
+                isolated.add(id(verdict))
+            for text in verdict.witnesses:
+                key = text if text.startswith("both") else (rep.skew.rectangles, text)
+                assert texts.setdefault(key, text) is text, f"{rep!r}"
+                seen += 1
+        assert len(isolated) == 1 and seen > len(texts)
+
     def test_witness_digest_is_pinned(self):
         # the text and explicit verdict, witness strings in order, of every
         # rep of U(p,q) with p+q <= 10
@@ -436,9 +450,9 @@ def test_verdicts_decode_each_neighbor_mask_once(monkeypatch):
 
 def test_sweeps_read_every_verdict_from_the_neighbor_table(monkeypatch):
     # Building a group's table is one cache miss; after it, a sweep over
-    # every rep, flag 0 included, looks its witnesses up: it builds no
+    # every rep, flag 0 included, looks its verdicts up: it builds no
     # neighbor and merges nothing, and reps sharing a cell mask and a flag
-    # share the stored witness tuple.
+    # get the same stored verdict objects.
     isolation._index.cache_clear()
     for key in [("U", 3, 4), ("O", 3, 4)]:
         isolation._index(*key)
@@ -449,16 +463,35 @@ def test_sweeps_read_every_verdict_from_the_neighbor_table(monkeypatch):
     flags, first, shared = Counter(), {}, Counter()
     for kind, judge in DUAL.items():
         for rep in enumerate_reps(Family(kind, 3, 4)):
-            found = judge(rep).witnesses, isolated_d0(rep).witnesses
+            found = judge(rep), isolated_d0(rep)
             flags[rep.flag] += 1
-            key = kind, rep.flag, rep.skew.cells
-            if all(found):  # the empty tuple is one object anyway
-                kept = first.setdefault(key, found)
-                assert kept[0] is found[0] and kept[1] is found[1], f"{rep!r}"
-                shared[rep.flag] += kept is not found
+            kept = first.setdefault((kind, rep.flag, rep.skew.cells), found)
+            assert kept[0] is found[0] and kept[1] is found[1], f"{rep!r}"
+            shared[rep.flag] += kept is not found
     assert flags[0] and shared[None] and shared[0] and shared[1]
     assert not calls
     assert isolation._index.cache_info().misses == 2
+
+
+def test_sweeps_read_the_flag_zero_slots_and_share_one_isolated_verdict():
+    # an Sp rep with flag 0 reads the two verdicts its mask holds for the
+    # flips keeping its block, and every isolated search verdict is one object
+    table, apart, isolated = isolation._index("U", 3, 3), 0, set()
+    for rep in enumerate_reps(Family("Sp", 3, 3)):
+        slot, slots = 2 * (rep.flag == 0), table[rep.skew.cells]
+        assert isolated_Sp(rep) is slots[slot] and isolated_d0(rep) is slots[slot + 1], f"{rep!r}"
+        apart += rep.flag == 0 and slots[2:] != slots[:2]
+        isolated.update(id(verdict) for verdict in slots if verdict.isolated)
+    assert apart and len(isolated) == 1
+
+
+@pytest.mark.parametrize("kind", ["U", "O", "Sp"])
+def test_decoded_verdicts_equal_the_sweep(kind):
+    # every rep with p+q <= 7, Sp with both flags
+    for p, q in signatures(7):
+        for rep in enumerate_reps(Family(kind, p, q)):
+            explicit = isolated_U_explicit(rep) if kind == "U" else None
+            assert verdicts(rep) == (DUAL[kind](rep), explicit, isolated_d0(rep)), f"{rep!r}"
 
 
 def test_table_build_pauses_the_collector_and_restores_it(monkeypatch):

@@ -1,6 +1,7 @@
 """Partition and skew-shape combinatorics."""
 
 import inspect
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from cohomreps import (
     rectangle_decomposition,
     skew_box_set,
 )
+from cohomreps import partitions
 from cohomreps.checks import signatures
 from cohomreps.partitions import _palindrome, fits_in_box, follows
 
@@ -258,6 +260,19 @@ def test_box_past_the_grid_bound_is_refused_at_once(call, p, q):
 
 def test_box_at_the_grid_bound_is_taken():
     assert fits_in_box((), 999_999, 0) and fits_in_box((), 999, 999)
+
+
+def test_a_box_taking_call_validates_lam_and_the_box_once(monkeypatch):
+    calls = Counter()
+    for name in ("canonical", "check_box"):
+
+        def counted(*args, real=getattr(partitions, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(partitions, name, counted)
+    orthogonal_decomposition((3, 3, 3), 4, 6)
+    assert calls == {"canonical": 1, "check_box": 1}
 
 
 def test_is_compatible_never_raises():
