@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, WrongFamily
 from .partitions import brackets, follows
-from .reps import CohRep, Family, Memo, admits_flag_zero, collector_paused, enumerate_reps
+from .reps import CohRep, Family, Memo, collector_paused, enumerate_reps
 
 
 class IsolationVerdict(NamedTuple):
@@ -43,18 +43,17 @@ _EXPLICIT_ISOLATED = IsolationVerdict(True, (), "explicit")
 def _index(kind: str, p: int, q: int):
     """The neighbor table of a group: each cell bitmask its parameters carry
     mapped to the finished verdicts of its searches under all flips, under
-    those that add cells, and if it admits flag 0 the same two for the flips
-    keeping its block, whose `_0` labels are built once per table, so every
-    sweep only looks its verdict up. Sp reads the unitary table, which
-    holds the same pairs."""
-    labels, blocks, names = {}, {}, Memo(brackets)
+    those that add cells, and if it has a flag-0 block (`_block`) the same
+    two over the neighbors with that same block, whose `_0` labels are built
+    once per table, so every sweep only looks its verdict up. Sp reads the
+    unitary table, which holds the same pairs."""
+    labels, names = {}, Memo(brackets)
     for rep in enumerate_reps(Family(kind, p, q)):
         lam = names[rep.lam]
         body = lam if kind == "O" else f"{lam}|{names[rep.mu]}"
         labels.setdefault(rep.skew.cells, []).append(f"A[{body}]")
-        if kind == "U" and admits_flag_zero(rep.lam, rep.mu, p):
-            blocks[rep.skew.cells] = rep.skew.rectangles[-1]
     labels = {cells: tuple(sorted(v)) for cells, v in labels.items()}
+    blocks = {} if kind == "O" else {c: b for c in labels if (b := _block(p, q, c))}
     # Rows of carried masks are intervals, so a flip between two takes from
     # the larger only cells ending its rows: each pair is found once, there.
     inner = sum(((1 << q) - 1 >> 2 << 1) << r * q for r in range(p))  # columns 2..q-1
@@ -70,9 +69,9 @@ def _index(kind: str, p: int, q: int):
     zeros = {cells: tuple(label + "_0" for label in labels[cells]) for cells in blocks}
     for cells, found in table.items():
         table[cells] = _merge(cells, found, list(map(labels.get, found)))
-        if cells in blocks:  # a neighbor keeping the block admits flag 0 too
-            kept = list(filter(_keeps(p, q, cells, blocks[cells]), found))
-            table[cells] += _merge(cells, kept, list(map(zeros.get, kept)), blocks[cells])
+        if block := blocks.get(cells):  # only a neighbor with the same block interferes
+            kept = [n for n in found if blocks.get(n) == block]
+            table[cells] += _merge(cells, kept, list(map(zeros.get, kept)), block)
     return table
 
 
@@ -189,25 +188,15 @@ def decode(kind: str, p: int, q: int, cells: int) -> tuple:
     return _labels(kind, p, q, _shape(kind, p, q, cells))
 
 
-def _keeps(p: int, q: int, cells: int, block: tuple):
-    """The test of a mask one flip away from `cells` for keeping its flag-0
-    block (a, b), in rows p-a+1..p, columns 1..b, and flag 0: the flipped
-    cell lies above the block and row p-a does not become a copy of its row."""
-    a, b = block
-    top = (p - a) * q  # bit of the block's first cell
-    above = max(top - q, 0)  # row p - a; no flip is left if a = p
-    copy = (cells & ((1 << q) - 1) << above) ^ ((1 << b) - 1) << above
-    return lambda other: other ^ cells < 1 << top and other ^ cells != copy
-
-
-def _neighbors(rep: CohRep) -> list:
-    """The cell masks one flip away from `rep`'s, in flip order, only those
-    keeping its block if it has flag 0; those larger than it add cells."""
-    (kind, p, q), cells = rep.family, rep.skew.cells
-    neighbors = list(map(cells.__xor__, _flips(p, q, kind == "O")))
-    if rep.flag == 0:
-        return list(filter(_keeps(p, q, cells, rep.skew.rectangles[-1]), neighbors))
-    return neighbors
+def _block(p: int, q: int, cells: int):
+    """The flag-0 block (a, b) of a cell mask of the p x q box, in rows
+    p-a+1..p, columns 1..b: its bottom a rows are (0, b], b > 0, and the
+    row above is not. None when the bottom row is not (0, b]."""
+    row = cells >> (p - 1) * q
+    if not row or row & row + 1:
+        return None
+    differ = (cells ^ cells >> q) & (1 << (p - 1) * q) - 1  # each upper row XOR the one below
+    return p - 1 - (differ.bit_length() - 1) // q, row.bit_length()
 
 
 def _merge(cells: int, neighbors: list, runs: list, block=None) -> tuple:
@@ -343,7 +332,10 @@ def verdicts(rep: CohRep) -> tuple:
             f"{p * p * q} rows, more than the {MAX_CELLS} cells or "
             f"{MAX_ROW_READS} rows that it takes on"
         )
-    neighbors = _neighbors(rep)
+    neighbors = list(map(rep.skew.cells.__xor__, _flips(p, q, kind == "O")))
+    block = rep.flag == 0 and rep.skew.rectangles[-1]
+    if block:  # only a neighbor with the same block interferes
+        neighbors = [n for n in neighbors if _block(p, q, n) == block]
     shapes = [_shape(kind, p, q, n) for n in neighbors]
     count = sum(map(_count, shapes))
     if count > MAX_WITNESSES:
@@ -351,7 +343,6 @@ def verdicts(rep: CohRep) -> tuple:
             f"the neighbors of this parameter carry {count} witnesses, more than "
             f"the {MAX_WITNESSES} that a decoded search lists"
         )
-    block = rep.flag == 0 and rep.skew.rectangles[-1]
     runs = [_labels(kind, p, q, shape) for shape in shapes]
     if block:  # no label is a prefix of another, so suffixed they stay sorted
         runs = [tuple(label + "_0" for label in run) for run in runs]

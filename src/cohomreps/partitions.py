@@ -64,12 +64,6 @@ def check_box(p: int, q: int) -> None:
         raise DomainError(f"the {p}x{q} box has {points} grid points, more than {MAX_GRID_POINTS}")
 
 
-def fits_in_box(lam: Partition, p: int, q: int) -> bool:
-    check_box(p, q)
-    lam = canonical(lam)
-    return len(lam) <= p and (not lam or lam[0] <= q)
-
-
 def _require_in_box(lam: Partition, p: int, q: int) -> Partition:
     lam = canonical(lam)
     check_box(p, q)
@@ -94,13 +88,18 @@ def contains(inner: Partition, outer: Partition) -> bool:
     return len(inner) <= len(outer) and all(x <= y for x, y in zip(inner, outer))
 
 
+def _require_nested(lam: Partition, mu: Partition, p: int, q: int) -> tuple:
+    """lam and mu padded to the box height, after canonical on lam and
+    _require_in_box on mu; NotNested unless lam lies inside mu."""
+    lam, mu = canonical(lam), _require_in_box(mu, p, q)
+    if len(lam) > len(mu) or any(x > y for x, y in zip(lam, mu)):
+        raise NotNested(f"{lam} is not contained in {mu}")
+    return _padded(lam, p), _padded(mu, p)
+
+
 def skew_box_set(lam: Partition, mu: Partition, p: int, q: int) -> frozenset:
     """The cell set {(r, c) : lam_r < c <= mu_r} of the skew shape mu/lam."""
-    lam = canonical(lam)
-    mu = _require_in_box(mu, p, q)
-    if not contains(lam, mu):
-        raise NotNested(f"{lam} is not contained in {mu}")
-    rows = enumerate(zip(_padded(lam, p), _padded(mu, p)), start=1)
+    rows = enumerate(zip(*_require_nested(lam, mu, p, q)), start=1)
     return frozenset((r, c) for r, (lo, hi) in rows for c in range(lo + 1, hi + 1))
 
 
@@ -163,11 +162,7 @@ def rectangle_decomposition(
     lam: Partition, mu: Partition, p: int, q: int
 ) -> SkewDecomposition:
     """Split mu/lam into maximal rectangles or raise NotCompatible."""
-    lam = canonical(lam)
-    mu = _require_in_box(mu, p, q)
-    if not contains(lam, mu):
-        raise NotNested(f"{lam} is not contained in {mu}")
-    return _skew(_padded(lam, p), _padded(mu, p), q)
+    return _skew(*_require_nested(lam, mu, p, q), q)
 
 
 def compatible_pairs(p: int, q: int) -> Iterator[tuple]:

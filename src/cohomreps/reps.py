@@ -216,7 +216,7 @@ def collector_paused():
             gc.enable()
 
 
-@lru_cache(maxsize=None)  # one entry per group; the isolation indexes hold its reps anyway
+@lru_cache(maxsize=None)  # one entry per group, like the isolation tables built from it
 @collector_paused()  # every rep is kept, so each older-generation pass would walk them again
 def _enumerate_cached(kind: str, p: int, q: int):
     return tuple(iter_reps(Family(kind, p, q)))

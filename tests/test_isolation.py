@@ -34,7 +34,7 @@ from cohomreps import (
 )
 from cohomreps import isolation
 from cohomreps.checks import run, signatures
-from cohomreps.isolation import _flips, decode, verdicts, witness_count
+from cohomreps.isolation import _block, _flips, decode, verdicts, witness_count
 from cohomreps.partitions import brackets, follows
 from cohomreps.reps import Memo
 
@@ -437,9 +437,12 @@ def test_verdicts_decode_each_neighbor_mask_once(monkeypatch):
         make_rep(Family("Sp", 3, 3), (2, 1), (2, 2, 1), flag=0),
         make_rep(Family("O", 4, 4), (2, 2)),
     ]:
+        kind, p, q = rep.family
+        flipped = map(rep.skew.cells.__xor__, _flips(p, q, kind == "O"))
+        kept = [n for n in flipped if rep.flag != 0 or _block(p, q, n) == rep.skew.rectangles[-1]]
         calls.clear()
         verdicts(rep)
-        assert Counter(isolation._neighbors(rep)) == calls, f"{rep!r}"
+        assert Counter(kept) == calls, f"{rep!r}"
     calls.clear()
     for kind, judge in DUAL.items():
         for rep in enumerate_reps(Family(kind, 3, 4)):
@@ -457,8 +460,8 @@ def test_sweeps_read_every_verdict_from_the_neighbor_table(monkeypatch):
     for key in [("U", 3, 4), ("O", 3, 4)]:
         isolation._index(*key)
     assert isolation._index.cache_info().misses == 2
-    calls, neighbors, merge = Counter(), isolation._neighbors, isolation._merge
-    monkeypatch.setattr(isolation, "_neighbors", lambda *args: calls.update(args) or neighbors(*args))
+    calls, flips, merge = Counter(), isolation._flips, isolation._merge
+    monkeypatch.setattr(isolation, "_flips", lambda *args: calls.update(["flips"]) or flips(*args))
     monkeypatch.setattr(isolation, "_merge", lambda *args: calls.update(["merge"]) or merge(*args))
     flags, first, shared = Counter(), {}, Counter()
     for kind, judge in DUAL.items():
@@ -483,15 +486,6 @@ def test_sweeps_read_the_flag_zero_slots_and_share_one_isolated_verdict():
         apart += rep.flag == 0 and slots[2:] != slots[:2]
         isolated.update(id(verdict) for verdict in slots if verdict.isolated)
     assert apart and len(isolated) == 1
-
-
-@pytest.mark.parametrize("kind", ["U", "O", "Sp"])
-def test_decoded_verdicts_equal_the_sweep(kind):
-    # every rep with p+q <= 7, Sp with both flags
-    for p, q in signatures(7):
-        for rep in enumerate_reps(Family(kind, p, q)):
-            explicit = isolated_U_explicit(rep) if kind == "U" else None
-            assert verdicts(rep) == (DUAL[kind](rep), explicit, isolated_d0(rep)), f"{rep!r}"
 
 
 def test_table_build_pauses_the_collector_and_restores_it(monkeypatch):
@@ -570,6 +564,15 @@ def unitary_reps(draw):
     if kind == "Sp":
         flag = 0 if admits_flag_zero(lam, mu, p) and draw(st.booleans()) else 1
     return make_rep(Family(kind, p, q), lam, mu, flag)
+
+
+@settings(max_examples=200, deadline=None)
+@given(unitary_reps())
+def test_a_mask_has_a_block_exactly_when_its_pair_admits_flag_zero(rep):
+    # the block read off the cell mask is the last rectangle of the skew
+    p = rep.family.p
+    block = rep.skew.rectangles[-1] if admits_flag_zero(rep.lam, rep.mu, p) else None
+    assert _block(p, rep.family.q, rep.skew.cells) == block
 
 
 @settings(max_examples=100, deadline=None)

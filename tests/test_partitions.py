@@ -35,7 +35,7 @@ from cohomreps import (
 )
 from cohomreps import partitions
 from cohomreps.checks import signatures
-from cohomreps.partitions import _palindrome, fits_in_box, follows
+from cohomreps.partitions import _palindrome, follows
 
 
 def boxed_partitions(max_p=4, max_q=4):
@@ -87,18 +87,13 @@ def test_conjugate_examples():
     assert conjugate((2, 2)) == (2, 2)
 
 
-def test_fits_in_box():
-    assert fits_in_box((2, 2), 2, 2)
-    assert not fits_in_box((3,), 2, 2)
-    assert not fits_in_box((1, 1, 1), 2, 2)
-
-
 def test_complement_examples():
     assert complement((2, 1), 2, 3) == (2, 1)
     assert complement((), 2, 2) == (2, 2)
     assert complement((2, 2), 2, 2) == ()
-    with pytest.raises(BoxOverflow):
-        complement((5,), 2, 2)
+    for lam in [(5,), (3,), (1, 1, 1)]:  # too wide or too tall
+        with pytest.raises(BoxOverflow):
+            complement(lam, 2, 2)
 
 
 def test_contains():
@@ -222,7 +217,6 @@ def test_palindrome_tripwire_fires_without_central_symmetry(skew):
 BOX_CALLS = pytest.mark.parametrize(
     "call",
     [
-        lambda p, q: fits_in_box((), p, q),
         lambda p, q: complement((1,), p, q),
         lambda p, q: skew_box_set((), (1,), p, q),
         lambda p, q: rectangle_decomposition((), (1,), p, q),
@@ -234,7 +228,7 @@ BOX_CALLS = pytest.mark.parametrize(
         count_orthogonal,
     ],
     ids=[
-        "fits_in_box", "complement", "skew_box_set", "rectangle_decomposition",
+        "complement", "skew_box_set", "rectangle_decomposition",
         "compatible_pairs", "orthogonal_decomposition", "orthogonal_partitions",
         "enumerate_partitions_in_box", "count_pairs", "count_orthogonal",
     ],
@@ -259,7 +253,7 @@ def test_box_past_the_grid_bound_is_refused_at_once(call, p, q):
 
 
 def test_box_at_the_grid_bound_is_taken():
-    assert fits_in_box((), 999_999, 0) and fits_in_box((), 999, 999)
+    assert complement((), 999_999, 0) == () and complement((), 999, 999) == (999,) * 999
 
 
 def test_a_box_taking_call_validates_lam_and_the_box_once(monkeypatch):
@@ -271,8 +265,14 @@ def test_a_box_taking_call_validates_lam_and_the_box_once(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(partitions, name, counted)
-    orthogonal_decomposition((3, 3, 3), 4, 6)
-    assert calls == {"canonical": 1, "check_box": 1}
+    for call, lams in [
+        (lambda: orthogonal_decomposition((3, 3, 3), 4, 6), 1),
+        (lambda: rectangle_decomposition((1,), (3, 1), 4, 6), 2),
+        (lambda: skew_box_set((1,), (3, 1), 4, 6), 2),
+    ]:
+        calls.clear()
+        call()
+        assert calls == {"canonical": lams, "check_box": 1}
 
 
 def test_is_compatible_never_raises():
@@ -499,7 +499,7 @@ def test_conjugate_commutes_with_complement(data):
 def test_decomposition_boxes_match_cell_set(a, b):
     lam, p, q = a
     mu, _, _ = b
-    if not (fits_in_box(mu, p, q) and contains(lam, mu)):
+    if not (len(mu) <= p and (not mu or mu[0] <= q) and contains(lam, mu)):
         return
     if not is_compatible(lam, mu, p, q):
         return
