@@ -87,13 +87,18 @@ def test_conjugate_examples():
     assert conjugate((2, 2)) == (2, 2)
 
 
-def test_complement_examples():
-    assert complement((2, 1), 2, 3) == (2, 1)
-    assert complement((), 2, 2) == (2, 2)
+def test_fits_in_box():
+    # A partition fits the box exactly when complement takes it.
     assert complement((2, 2), 2, 2) == ()
     for lam in [(5,), (3,), (1, 1, 1)]:  # too wide or too tall
         with pytest.raises(BoxOverflow):
             complement(lam, 2, 2)
+
+
+def test_complement_examples():
+    assert complement((2, 1), 2, 3) == (2, 1)
+    assert complement((), 2, 2) == (2, 2)
+    assert complement((2, 2), 2, 2) == ()
 
 
 def test_contains():
