@@ -12,10 +12,10 @@ half the Weyl denominator,
     mult_triv(f) = CT(f * prod over positive roots alpha of (1 - x^-alpha)),
 
 and by the Weyl denominator identity that half product is the sum over the
-Weyl group W of sgn(u) x^(u rho - rho): |W| terms, each +1 or -1. So the
-multiplicity is the sum of sgn(u) f(u rho - rho) over W, and since f is
-W-invariant each of these targets can be moved to its dominant
-representative and equal targets merged first.
+Weyl group W of det(u) x^(u rho - rho). So the multiplicity is the sum of
+det(u) f(u rho - rho) over W. The targets are built from that sum, not
+from the product: since f is W-invariant, each is moved to its dominant
+representative and equal ones are merged, once per factor.
 
 invariant_poincare applies this to every exterior power of a module at
 once, on packed weights. A weight w with |w_i| <= 2 B_i is stored as the
@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial
-from operator import add, sub
+from itertools import combinations, combinations_with_replacement, permutations, product
+from math import factorial, prod
+from operator import add, le, sub
 
 from .errors import DomainError, InvariantViolation, SignatureMismatch
 from .polynomials import IntPoly
@@ -98,9 +98,9 @@ class Character:
 # (1.4e9) and U(5,5) (5.0e9) do not.
 JOIN_WORK_BUDGET = 40_000_000
 
-# Upper bound on |W| of one compact factor, the number of terms of its half
-# denominator, checked before the product is multiplied out: U(8) (40 320
-# terms) is expanded; U(9) (362 880), Sp(7) and SO(14) are not.
+# Upper bound on |W| of one compact factor, checked before the elements of
+# its Weyl group are walked: U(8) (40 320 elements) is walked; U(9)
+# (362 880), Sp(7) and SO(14) are not.
 HALF_DENOMINATOR_CAP = 100_000
 
 
@@ -166,27 +166,29 @@ def standard_weights(factor: Factor):
     return weights
 
 
-@lru_cache(maxsize=None)  # one entry of |W| terms per factor (kind, n) in use
-def _half_denominator(factor: Factor):
-    """prod over the positive roots alpha of (1 - x^-alpha), as a dict.
-
-    The positive roots are the ones whose first nonzero coordinate is
-    positive; they are multiplied in sorted order, the fastest order
-    measured. By the Weyl denominator identity the result has exactly |W|
-    terms, each +1 or -1; the tests hold it to that. DomainError is raised
-    before a product of more than HALF_DENOMINATOR_CAP terms is expanded.
-    """
+@lru_cache(maxsize=None)  # one table per factor (kind, n) in use
+def _weyl_table(factor: Factor):
+    """The half denominator, the sum over W of det(w) x^(w rho - rho), merged
+    by orbit: the dominant representative of each w rho - rho mapped to the
+    summed det(w) of the w that land on it, zero sums dropped. 2 rho is the
+    sum of the positive roots, those whose first nonzero coordinate is
+    positive; W acts as in _dominant, and det(w) is the sign of its
+    permutation times its flipped signs. DomainError is raised before more
+    than HALF_DENOMINATOR_CAP elements are walked."""
     if factor_weyl_order(factor) > HALF_DENOMINATOR_CAP:
         raise _over_budget(f"a half denominator of more than {HALF_DENOMINATOR_CAP} terms")
+    kind, n = factor
     zero = (0,) * factor_rank(factor)
-    terms = {zero: 1}
-    for alpha in sorted(a for a in factor_roots(factor) if a > zero):
-        nxt = dict(terms)
-        for w, c in terms.items():
-            shifted = tuple(x - y for x, y in zip(w, alpha))
-            nxt[shifted] = nxt.get(shifted, 0) - c
-        terms = {w: c for w, c in nxt.items() if c}
-    return terms
+    two_rho = [sum(x) for x in zip(zero, *(a for a in factor_roots(factor) if a > zero))]
+    flips = product((1, -1) if kind != "U" else (1,), repeat=len(zero))
+    flips = [s for s in flips if prod(s) > 0 or kind != "SO" or n % 2]
+    table = {}
+    for perm in permutations(range(len(zero))):
+        sign = (-1) ** sum(i > j for i, j in combinations(perm, 2))
+        for signs in flips:
+            w = _dominant(factor, [(s * two_rho[i] - r) // 2 for s, i, r in zip(signs, perm, two_rho)])
+            table[w] = table.get(w, 0) + sign * prod(signs)
+    return {w: c for w, c in table.items() if c}
 
 
 def _dominant(factor: Factor, w: Weight) -> Weight:
@@ -215,20 +217,15 @@ def _over_budget(need: str = "") -> DomainError:
 
 
 def _targets(group: CompactGroupSpec, bounds, pack, limit: int):
-    """The packed weights u rho - rho of the half denominator, moved to
-    their dominant representatives, merged, and kept only inside the box;
-    mapped to their summed signs. DomainError is raised before there would
-    be more than limit of them."""
+    """The entries of each factor's Weyl table inside the box, packed and
+    multiplied out over the factors, each mapped to its summed sign. The box
+    is tested on the dominant representatives: a W-invariant module puts
+    equal bounds on every coordinate of a factor. DomainError is raised
+    before there would be more than limit of them."""
     targets = {0: 1}
     for factor, (start, stop) in zip(group.factors, group.slices):
-        local_bounds = bounds[start:stop]
-        pad = (0,) * start
-        local = {}
-        for w, sign in _half_denominator(factor).items():
-            if all(abs(x) <= b for x, b in zip(w, local_bounds)):
-                key = pack(pad + _dominant(factor, w))
-                local[key] = local.get(key, 0) + sign
-        local = {k: s for k, s in local.items() if s}
+        pad, box, table = (0,) * start, bounds[start:stop], _weyl_table(factor)
+        local = {pack(pad + w): table[w] for w in table if all(map(le, map(abs, w), box))}
         if len(targets) * len(local) > limit:
             raise _over_budget()
         targets = {k1 + k2: s1 * s2 for k1, s1 in targets.items() for k2, s2 in local.items()}

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, WrongFamily
 from .partitions import brackets, follows
-from .reps import CohRep, Family, Memo, collector_paused, enumerate_reps
+from .reps import CohRep, Family, Memo, collector_paused, enumerate_reps, text_form
 
 
 class IsolationVerdict(NamedTuple):
@@ -47,11 +47,9 @@ def _index(kind: str, p: int, q: int):
     two over the neighbors with that same block, whose `_0` labels are built
     once per table, so every sweep only looks its verdict up. Sp reads the
     unitary table, which holds the same pairs."""
-    labels, names = {}, Memo(brackets)
-    for rep in enumerate_reps(Family(kind, p, q)):
-        lam = names[rep.lam]
-        body = lam if kind == "O" else f"{lam}|{names[rep.mu]}"
-        labels.setdefault(rep.skew.cells, []).append(f"A[{body}]")
+    labels = {}
+    for rep in enumerate_reps(Family(kind, p, q)):  # U or O, so no flag follows the label
+        labels.setdefault(rep.skew.cells, []).append(text_form(rep).partition(" ")[2])
     labels = {cells: tuple(sorted(v)) for cells, v in labels.items()}
     blocks = {} if kind == "O" else {c: b for c in labels if (b := _block(p, q, c))}
     # Rows of carried masks are intervals, so a flip between two takes from

@@ -371,7 +371,7 @@ def parse_partition(text: str) -> Partition:
     """Inverse of format_partition; accepts any JSON integer array."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # json recurses into each nested list
         raise ValueError(f"not a partition literal: {text!r}") from exc
     if not isinstance(data, list):
         raise ValueError(f"not a partition literal: {text!r}")

@@ -6,8 +6,14 @@ the module in full and divides CT(level * D) by |W|, with D the product
 over all roots. That reference, and the Newton recursion that checks its
 exterior series, live here. The constant-term identity CT(D) = |W| checks
 the root enumeration and the Weyl order formula for every factor kind at
-once; the Weyl denominator identity checks the engine's half denominator.
+once; the product over the positive roots, expanded and merged by brute
+force orbits, checks the engine's Weyl tables.
 """
+
+from collections import Counter
+from itertools import permutations, product
+from math import prod
+from operator import mul
 
 import pytest
 
@@ -22,7 +28,7 @@ from cohomreps import (
 )
 from cohomreps import characters
 from cohomreps.characters import (
-    _half_denominator,
+    _weyl_table,
     factor_rank,
     factor_roots,
     factor_weyl_order,
@@ -354,23 +360,55 @@ def test_trivial_multiplicity_rejects_non_invariant_input():
 # --- the engine --------------------------------------------------------------
 
 
+def reference_half_denominator(factor):
+    """prod over the positive roots alpha of (1 - x^-alpha), expanded: the
+    roots whose first nonzero coordinate is positive."""
+    zero = (0,) * factor_rank(factor)
+    return reference_denominator(factor, [tuple(-x for x in a) for a in factor_roots(factor) if a > zero])
+
+
+def weyl_orbit(factor, w):
+    """The orbit of w under W by brute force: every permutation of w under
+    every sign pattern W allows, none for U and an even number of flips for
+    SO(2m)."""
+    kind, n = factor
+    signs = [s for s in product((1, -1), repeat=len(w)) if prod(s) > 0 or kind != "SO" or n % 2]
+    signs = [(1,) * len(w)] if kind == "U" else signs
+    return frozenset(tuple(map(mul, s, v)) for v in permutations(w) for s in signs)
+
+
 @pytest.mark.parametrize("factor", BIG_FACTORS, ids=factor_id)
 def test_half_denominator_is_weyl_denominator(factor):
-    half = _half_denominator(factor)
-    # the sum over W of sgn(u) x^(u rho - rho)
+    half = reference_half_denominator(factor)
+    # the sum over W of det(u) x^(u rho - rho)
     assert len(half) == factor_weyl_order(factor)
     assert set(half.values()) <= {1, -1}
     # the half times its mirror image is the product over all roots
     mirror = [tuple(-x for x in w) for w in half]
-    product = Char(factor_rank(factor), half) * Char(factor_rank(factor), dict(zip(mirror, half.values())))
-    assert product.terms == reference_denominator(factor)
+    full = Char(factor_rank(factor), half) * Char(factor_rank(factor), dict(zip(mirror, half.values())))
+    assert full.terms == reference_denominator(factor)
+    # the engine's table is that sum merged by orbit
+    merged = Counter()
+    for w, c in half.items():
+        merged[weyl_orbit(factor, w)] += c
+    table = _weyl_table(factor)
+    orbits = {weyl_orbit(factor, w): c for w, c in table.items()}
+    # one key per orbit, and no orbit whose signs cancel
+    assert len(orbits) == len(table)
+    assert orbits == {orbit: c for orbit, c in merged.items() if c}
+
+
+def test_weyl_tables_of_the_largest_factors_under_the_cap():
+    # |W| = 40 320, 46 080 and 46 080 merge to these many orbits
+    sizes = {f: len(_weyl_table(f)) for f in [("U", 8), ("Sp", 6), ("SO", 13)]}
+    assert sizes == {("U", 8): 4782, ("Sp", 6): 4983, ("SO", 13): 5579}
 
 
 @pytest.mark.parametrize("factor", [("U", 9), ("Sp", 7), ("SO", 14), ("U", 20)], ids=factor_id)
 def test_half_denominator_past_the_cap_is_refused(factor):
     assert factor_weyl_order(factor) > characters.HALF_DENOMINATOR_CAP
-    with pytest.raises(DomainError, match="--closed-only"):
-        _half_denominator(factor)
+    with pytest.raises(DomainError, match="half denominator of more than 100000 terms; cohomology --closed-only"):
+        _weyl_table(factor)
 
 
 def test_bad_group_factor():

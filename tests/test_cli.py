@@ -482,6 +482,13 @@ def test_bad_partition_literal(capsys):
     assert doc["error"]["type"] == "ValueError"
 
 
+def test_partition_literal_too_deep_to_decode_exits_3(capsys):
+    text = "[" * 100_000
+    code, doc = run_json(capsys, "isolate", "U", "2", "2", "--lambda", text)
+    assert code == 3
+    assert doc["error"] == {"type": "ValueError", "message": f"not a partition literal: {text!r}"}
+
+
 def test_version_flag(capsys):
     code, out = run(capsys, "--version")
     assert code == 0

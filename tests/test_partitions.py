@@ -479,6 +479,11 @@ def test_format_and_parse_roundtrip():
         parse_partition('{"a": 1}')
 
 
+def test_parse_refuses_a_nest_too_deep_to_decode():
+    with pytest.raises(ValueError, match=r"^not a partition literal: '\[\[\[\["):
+        parse_partition("[" * 100_000)
+
+
 @pytest.mark.parametrize("text", ["[true]", "[2, false]", "[1.5]", '["1"]'])
 def test_parse_rejects_non_int_parts(text):
     with pytest.raises(ValueError, match="integers"):
