@@ -174,9 +174,12 @@ def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
     rectangle above continued, when lam_r = lam_(r-1) < mu_(r-1). The empty
     row mu_r = lam_r always follows, so every partial mu completes: no
     incompatible pair is built. The partial mus of a row carry their
-    rectangles and cells.
+    rectangles and cells. The pairs share one object per Rectangle size, mu
+    and rectangle list, so a cached group holds each once.
     """
-    for lam in enumerate_partitions_in_box(p, q):
+    lams = enumerate_partitions_in_box(p, q)  # checks the box before the table is built
+    rect, mus, lists = _rectangles(p, q), {}, {}
+    for lam in lams:
         edges = (q,) + _padded(lam, p)
         level = [((), (), 0)]  # (mu, rectangles, cells) so far
         for i in range(p):
@@ -186,17 +189,24 @@ def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
                 grown.append((mu + (lo,), rects, cells))
                 if lo < top:
                     grown += [
-                        (mu + (hi,), rects + (Rectangle(1, hi - lo),),
+                        (mu + (hi,), rects + (rect[1][hi - lo],),
                          cells | ((1 << hi) - (1 << lo)) << shift)
                         for hi in range(lo + 1, top + 1)
                     ]
                 elif i and mu[-1] > lo:
                     (a, b), row = rects[-1], ((1 << mu[-1]) - (1 << lo)) << shift
-                    rects = rects[:-1] + (Rectangle(a + 1, b),)
+                    rects = rects[:-1] + (rect[a + 1][b],)
                     grown.append((mu + (mu[-1],), rects, cells | row))
             level = grown
         for mu, rects, cells in level:
-            yield lam, mu[: p - mu.count(0)], SkewDecomposition(rects, cells)
+            mu = mu[: p - mu.count(0)]
+            skew = SkewDecomposition(lists.setdefault(rects, rects), cells)
+            yield lam, mus.setdefault(mu, mu), skew
+
+
+def _rectangles(p: int, q: int) -> list:
+    """The Rectangle of each size (rows, cols) in the p x q box, at [rows][cols]."""
+    return [[Rectangle(a, b) for b in range(q + 1)] for a in range(p + 1)]
 
 
 def _row_sums(p: int, q: int) -> tuple:
@@ -288,6 +298,7 @@ def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
     which for the first lower row is (x, q - x], x the last upper part: for even p its
     own mirror, followed on the same terms. The palindrome tripwire runs on each lam."""
     check_box(p, q)
+    rect = _rectangles(p, q)
     m = p // 2  # the lower rows, below the upper p - m
     for upper in _box_partitions(p - m, q):
         rows = _padded(upper, p - m)
@@ -303,16 +314,16 @@ def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
             for lower, rects, centre, cells in level:  # lower: x, then the lower rows
                 a = lower[-1]
                 if hi <= a:  # lo < hi opens a rectangle; the empty row lo = hi comes last
-                    grown += [(lower + (lo,), rects + (Rectangle(1, hi - lo),), centre,
+                    grown += [(lower + (lo,), rects + (rect[1][hi - lo],), centre,
                                cells | ends + (1 << u - lo) - (1 << s + lo)) for lo in range(hi)]
                     grown.append((lower + (hi,), rects, centre, cells))
                 elif b == hi and a < b:  # lo = a continues a lower rectangle, or the centre
-                    end = rects and rects[:-1] + (Rectangle(rects[-1].rows + 1, hi - a),)
+                    end = rects and rects[:-1] + (rect[rects[-1].rows + 1][hi - a],)
                     cells |= ends + (1 << u - a) - (1 << s + a)
                     grown.append((lower + (a,), end, centre + 2 * (not rects), cells))
             level = grown
         for lower, rects, centre, cells in level:
-            mid = (Rectangle(centre, q - 2 * x),) if centre else ()
+            mid = (rect[centre][q - 2 * x],) if centre else ()
             skew = SkewDecomposition(rects[::-1] + mid + rects, cells)
             lam = rows + lower[1:]
             canon = lam[: p - lam.count(0)]
@@ -368,11 +379,13 @@ def brackets(lam: Partition) -> str:
 
 
 def parse_partition(text: str) -> Partition:
-    """Inverse of format_partition; accepts any JSON integer array."""
+    """Inverse of format_partition; accepts any JSON integer array. A
+    refused text is quoted by its first 40 characters and its length, so
+    the error stays short however long the input."""
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # json recurses into each nested list
-        raise ValueError(f"not a partition literal: {text!r}") from exc
+    except (json.JSONDecodeError, RecursionError):  # json recurses into each nested list
+        data = None
     if not isinstance(data, list):
-        raise ValueError(f"not a partition literal: {text!r}")
+        raise ValueError(f"not a partition literal: {text[:40]!r} ({len(text)} characters)")
     return canonical(data)

@@ -159,8 +159,9 @@ def trivial_rep(family: Family) -> CohRep:
 
 # Enumeration refuses a group with more parameters than this: U(7,7) has
 # 335 682, Sp(7,7) and O(14,14) 437 880, U(8,8) 2 534 136. A cached rep
-# takes about 0.5 kB (enumerate_reps of U(7,7) peaks at 183 MB), so the
-# bound keeps a cached group under about half a gigabyte.
+# takes about 220 bytes in U, 200 in Sp and 790 in O (enumerate_reps adds
+# 70, 82 and 329 MB of RSS for U(7,7), Sp(7,7) and O(14,14)), so at the
+# bound a cached group takes about 0.2 GB in U or Sp and 0.8 GB in O.
 MAX_REPS = 1_000_000
 
 

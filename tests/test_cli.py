@@ -486,7 +486,17 @@ def test_partition_literal_too_deep_to_decode_exits_3(capsys):
     text = "[" * 100_000
     code, doc = run_json(capsys, "isolate", "U", "2", "2", "--lambda", text)
     assert code == 3
-    assert doc["error"] == {"type": "ValueError", "message": f"not a partition literal: {text!r}"}
+    message = f"not a partition literal: {text[:40]!r} (100000 characters)"
+    assert doc["error"] == {"type": "ValueError", "message": message}
+
+
+# The answer to a refused literal does not grow with the literal.
+@pytest.mark.parametrize("text", ["[" * 100_000, "x" * 100_000, '"' + "1" * 100_000 + '"'])
+def test_refused_partition_literal_error_stays_under_1_kb(capsys, text):
+    code, out = run(capsys, "isolate", "U", "2", "2", "--lambda", text)
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "ValueError"
+    assert len(out.encode()) < 1024
 
 
 def test_version_flag(capsys):

@@ -1,6 +1,7 @@
 """Representation parameters, degrees and Poincare series."""
 
 import gc
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -246,6 +247,36 @@ def test_iter_reps_is_the_uncached_enumeration():
     assert first is not iter_reps(fam)
     assert tuple(first) == enumerate_reps(fam)
     assert next(first, None) is None
+
+
+@pytest.mark.parametrize("kind", ["U", "Sp"])
+def test_enumeration_shares_each_partition_rectangle_and_rectangle_list(kind):
+    group = tuple(iter_reps(Family(kind, 4, 5)))
+    for values in (
+        [rep.lam for rep in group],
+        [rep.mu for rep in group],
+        [rep.skew.rectangles for rep in group],
+        [rect for rep in group for rect in rep.skew.rectangles],
+    ):
+        assert len(set(map(id, values))) == len(set(values)) < len(values)
+
+
+def test_orthogonal_enumeration_shares_each_rectangle():
+    rects = [rect for rep in iter_reps(Family("O", 8, 9)) for rect in rep.skew.rectangles]
+    assert len(set(map(id, rects))) == len(set(rects)) < len(rects)
+
+
+def test_a_fresh_enumeration_takes_under_260_bytes_a_rep():
+    # 219 bytes a rep measured: the rep, its decomposition and its cell mask,
+    # the partitions and rectangles being shared
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        group = tuple(iter_reps(Family("U", 6, 6)))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown / len(group) < 260, grown / len(group)
 
 
 @pytest.mark.parametrize("kind, p, q", [("U", 8, 8), ("Sp", 8, 8), ("O", 16, 16), ("U", 20, 20)])
