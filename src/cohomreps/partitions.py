@@ -12,6 +12,7 @@ package.
 from __future__ import annotations
 
 import json
+from itertools import groupby, product
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -31,16 +32,15 @@ def canonical(parts: Sequence[int]) -> Partition:
 
     Raises ValueError for a part that is not an int (bools included),
     negative parts or an increasing step; zeros may only appear at the
-    tail.
+    tail. The error quotes the first part at fault, its repr cut to 40
+    characters, with its index and the number of parts.
     """
     parts = tuple(parts)
     for i, x in enumerate(parts):
-        if type(x) is not int:
-            raise ValueError(f"parts must be integers, got {x!r}")
-        if x < 0:
-            raise ValueError(f"negative part {x}")
-        if i and parts[i - 1] < x:
-            raise ValueError(f"parts must be weakly decreasing, got {parts}")
+        fault = ("parts must be integers" if type(x) is not int else "negative part" if x < 0
+                 else "parts must be weakly decreasing" if i and parts[i - 1] < x else "")
+        if fault:
+            raise ValueError(f"{fault}, got {repr(x)[:40]} (index {i} of {len(parts)})")
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     return parts
@@ -132,25 +132,22 @@ def _skew(lam_pad: tuple, mu_pad: tuple, q: int) -> SkewDecomposition:
     """The decomposition of mu/lam in a box of width q; NotCompatible at the
     first row that does not follow the one above by follows. Trusts its
     input: the rows are padded to the box height, and lam_pad is a
-    partition contained in mu_pad. A nonempty row equal to the one above
-    continues its rectangle; any other starts a new one. The cells are read
-    from one binary numeral, last row and column first, in time linear in pq."""
-    rects, bits, above = [], [], (q, q)
-    for r, row in enumerate(zip(lam_pad, mu_pad)):
+    partition contained in mu_pad. A run of k equal nonempty rows (lo, hi] is
+    one Rectangle(k, hi - lo); follows is checked at the first row of a run.
+    The cells are read from one binary numeral, last row and column first, in time linear in pq."""
+    rects, bits, above, r = [], [], (q, q), 0
+    for row, run in groupby(zip(lam_pad, mu_pad)):
         if not follows(above, row):
             lam, mu, p = canonical(lam_pad), canonical(mu_pad), len(lam_pad)
             raise NotCompatible(
                 f"skew of ({lam}, {mu}) in {p}x{q}: rows {r} and {r + 1} "
                 "overlap in more than a corner"
             )
-        lo, hi = row
-        bits.append("0" * (q - hi) + "1" * (hi - lo) + "0" * lo)
+        (lo, hi), k = row, len(list(run))
+        bits.append(("0" * (q - hi) + "1" * (hi - lo) + "0" * lo) * k)
         if lo < hi:
-            if row == above:
-                rects[-1] = Rectangle(rects[-1].rows + 1, hi - lo)
-            else:
-                rects.append(Rectangle(1, hi - lo))
-        above = row
+            rects.append(Rectangle(k, hi - lo))
+        above, r = row, r + k
     return SkewDecomposition(tuple(rects), int("0" + "".join(reversed(bits)), 2))
 
 
@@ -168,38 +165,32 @@ def rectangle_decomposition(
 def compatible_pairs(p: int, q: int) -> Iterator[tuple]:
     """Every compatible pair in the p x q box as (lam, mu, decomposition).
 
-    The pairs come in (lam, mu) lex order. For each lam, mu is built row by
-    row, and the loop is the rule of follows solved for mu_r: lam_r <=
-    mu_r <= lam_(r-1) (q for the first row), or mu_r = mu_(r-1), the
-    rectangle above continued, when lam_r = lam_(r-1) < mu_(r-1). The empty
-    row mu_r = lam_r always follows, so every partial mu completes: no
-    incompatible pair is built. The partial mus of a row carry their
-    rectangles and cells. The pairs share one object per Rectangle size, mu
-    and rectangle list, so a cached group holds each once.
+    The pairs come in (lam, mu) lex order. For each lam, mu is built one run
+    of k equal parts lo at a time, by the rule of follows solved for the run:
+    all rows empty, (lo,) * k, or one rectangle (lo, hi] over its first j
+    rows, (hi,) * j + (lo,) * (k - j), lo < hi <= top, the part above (q for
+    the first run). These offers and their rectangles and cells are built
+    once per run, for every partial mu. The empty offer always follows, so
+    no incompatible pair is built. The pairs share one object per Rectangle
+    size, mu and rectangle list, so a cached group holds each once.
     """
     lams = enumerate_partitions_in_box(p, q)  # checks the box before the table is built
     rect, mus, lists = _rectangles(p, q), {}, {}
     for lam in lams:
-        edges = (q,) + _padded(lam, p)
-        level = [((), (), 0)]  # (mu, rectangles, cells) so far
-        for i in range(p):
-            lo, top, shift = edges[i + 1], edges[i], i * q
-            grown = []
-            for mu, rects, cells in level:
-                grown.append((mu + (lo,), rects, cells))
-                if lo < top:
-                    grown += [
-                        (mu + (hi,), rects + (rect[1][hi - lo],),
-                         cells | ((1 << hi) - (1 << lo)) << shift)
-                        for hi in range(lo + 1, top + 1)
-                    ]
-                elif i and mu[-1] > lo:
-                    (a, b), row = rects[-1], ((1 << mu[-1]) - (1 << lo)) << shift
-                    rects = rects[:-1] + (rect[a + 1][b],)
-                    grown.append((mu + (mu[-1],), rects, cells | row))
-            level = grown
+        level, top, shift = [((), (), 0)], q, 0  # (mu, rectangles, cells) so far
+        for lo, run in groupby(_padded(lam, p)):
+            k = len(list(run))
+            empty = (lo,) * k if lo else ()  # no zero part: mu comes out canonical
+            ones = [0]  # ones[j]: column 1 of the run's first j rows
+            for i in range(k):
+                ones.append(ones[-1] | 1 << shift + i * q)
+            offers = [(empty, (), 0)] + [
+                ((hi,) * j + empty[j:], (rect[j][hi - lo],), ((1 << hi) - (1 << lo)) * ones[j])
+                for hi, j in product(range(lo + 1, top + 1), range(1, k + 1))]
+            level = [(mu + a, rects + b, cells | c)
+                     for mu, rects, cells in level for a, b, c in offers]
+            top, shift = lo, shift + k * q
         for mu, rects, cells in level:
-            mu = mu[: p - mu.count(0)]
             skew = SkewDecomposition(lists.setdefault(rects, rects), cells)
             yield lam, mus.setdefault(mu, mu), skew
 

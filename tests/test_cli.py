@@ -499,6 +499,25 @@ def test_refused_partition_literal_error_stays_under_1_kb(capsys, text):
     assert len(out.encode()) < 1024
 
 
+# Nor does the answer to a literal that parses but is not a partition.
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        (json.dumps(list(range(20_000))), "weakly decreasing"),
+        (json.dumps(["x" * 50_000]), "integers"),
+        (json.dumps([[1] * 30_000]), "integers"),
+        (json.dumps([1] * 20_000 + [-1]), "negative part"),
+    ],
+    ids=["increasing", "long-string-part", "long-list-part", "negative"],
+)
+def test_refused_parts_error_stays_under_1_kb(capsys, text, fault):
+    code, out = run(capsys, "isolate", "U", "2", "2", "--mu", "[2,2]", "--lambda", text)
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValueError" and fault in error["message"]
+    assert len(out.encode()) < 1024
+
+
 def test_version_flag(capsys):
     code, out = run(capsys, "--version")
     assert code == 0

@@ -158,6 +158,9 @@ class TestRectangleDecomposition:
 def test_incompatible_pair_names_the_overlapping_rows():
     with pytest.raises(NotCompatible, match="rows 2 and 3 overlap"):
         rectangle_decomposition((2, 1), (3, 2, 2), 3, 3)
+    # the bad row 3 follows the run of the equal rows 1 and 2
+    with pytest.raises(NotCompatible, match="rows 2 and 3 overlap"):
+        rectangle_decomposition((1, 1), (2, 2, 2), 3, 2)
 
 
 @pytest.mark.parametrize("p, q", [(1, 1), (1, 3), (2, 3), (3, 2), (3, 4), (4, 4)])
@@ -319,10 +322,12 @@ def rule_pairs(p, q):
 
 
 def test_compatible_pairs_is_the_row_rule_solved_for_mu():
-    for p in range(10):
-        for q in range(10 - p):
-            got = [(lam, mu) for lam, mu, _ in compatible_pairs(p, q)]
-            assert got == rule_pairs(p, q), (p, q)
+    # the thin boxes have the long runs of equal rows that p+q <= 9 lacks
+    thin = [(20, 1), (30, 1), (12, 2), (16, 2), (8, 3)]
+    boxes = [(p, q) for p in range(10) for q in range(10 - p)]
+    for p, q in [*boxes, *thin, *[(q, p) for p, q in thin]]:
+        got = [(lam, mu) for lam, mu, _ in compatible_pairs(p, q)]
+        assert got == rule_pairs(p, q), (p, q)
 
 
 def test_count_pairs_is_the_transfer_sum_of_the_row_rule():
