@@ -83,8 +83,6 @@ def parse_glrep(text: str) -> GLRep:
             raise DomainError(f"twist denominator is zero in block {chunk!r}")
         alpha = Fraction(int(num), int(den)) if num is not None else None
         blocks.append(GLBlock(int(m), int(j), alpha))
-    if not blocks:
-        raise DomainError("empty block list")
     return GLRep(tuple(blocks))
 
 

@@ -282,52 +282,52 @@ def _palindrome(
 def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
     """Every orthogonal lam in the p x q box as (lam, complement, decomposition).
 
-    Lex order in lam. Row i of the skew is (lam_i, q - lam_j], j = p - 1 - i its mirror,
-    so the skew is compatible when its lower half is. The upper (p + 1) // 2 rows come
-    from the box walk, an odd middle (x, q - x] needing 2x <= q. They fix each lower
-    row's hi; its lo is the rule of follows solved for lo under the row above (a, b],
-    which for the first lower row is (x, q - x], x the last upper part: for even p its
-    own mirror, followed on the same terms. The palindrome tripwire runs on each lam."""
+    Lex order in lam. Row i of the skew is (lam_i, q - lam_j], j = p - 1 - i its mirror, so
+    its lower rows are the mirrored mu of a compatible pair on the upper p // 2 parts, built
+    a run at a time from the bottom run up by the offers of compatible_pairs. The upper
+    (p + 1) // 2 parts come from the box walk, and x is the last: the middle for odd p.
+    The bottom run, k parts lo under the part top, is free when x + lo >= q; otherwise it
+    continues the centre, (x, q - x] over its k rows, which needs lo = x and q - x <= top.
+    The palindrome tripwire runs on each lam."""
     check_box(p, q)
     rect = _rectangles(p, q)
-    m = p // 2  # the lower rows, below the upper p - m
+    m = p // 2  # the upper rows that the lower rows mirror
     for upper in _box_partitions(p - m, q):
         rows = _padded(upper, p - m)
         x = rows[-1] if p else 0  # the last upper part
         if p % 2 and 2 * x > q:
             continue
-        middle = p % 2 * (2 * x < q)  # the one row of a nonempty middle
-        level = [((x,), (), middle, ((1 << q - x) - (1 << x)) << m * q if middle else 0)]
-        edges = (q - x,) + tuple(q - y for y in reversed(rows[:m]))  # b, then each hi
-        for k in range(m):  # lower row p - m + k from bit s, its mirror row m - 1 - k below bit u
-            b, hi, s, u, grown = edges[k], edges[k + 1], (p - m + k) * q, (m - k) * q, []
-            ends = (1 << s + hi) - (1 << u - hi)  # the hi ends of (lo, hi] and its mirror
-            for lower, rects, centre, cells in level:  # lower: x, then the lower rows
-                a = lower[-1]
-                if hi <= a:  # lo < hi opens a rectangle; the empty row lo = hi comes last
-                    grown += [(lower + (lo,), rects + (rect[1][hi - lo],), centre,
-                               cells | ends + (1 << u - lo) - (1 << s + lo)) for lo in range(hi)]
-                    grown.append((lower + (hi,), rects, centre, cells))
-                elif b == hi and a < b:  # lo = a continues a lower rectangle, or the centre
-                    end = rects and rects[:-1] + (rect[rects[-1].rows + 1][hi - a],)
-                    cells |= ends + (1 << u - a) - (1 << s + a)
-                    grown.append((lower + (a,), end, centre + 2 * (not rects), cells))
-            level = grown
-        for lower, rects, centre, cells in level:
-            mid = (rect[centre][q - 2 * x],) if centre else ()
+        runs = [(q, 0)] + [(lo, len(list(run))) for lo, run in groupby(rows[:m])]  # q: first top
+        held = x + runs[-1][0] < q  # the bottom run must continue the centre
+        if held and (runs[-1][0] > x or q - x > runs[-2][0]):
+            continue  # it cannot: no lam has this upper half
+        centre = p % 2 * (2 * x < q) + 2 * held * runs[-1][1]  # the centre's rows
+        mid = (rect[centre][q - 2 * x],) if centre else ()
+        level, s = [((), (), p % 2 * ((1 << q - x) - (1 << x)) << m * q)], m  # the middle row
+        for (top, _), (lo, k) in zip(runs[-2::-1], runs[:0:-1]):  # bottom first; s: its first row
+            s, unit = s - k, ((1 << k * q) - 1) // ((1 << q) - 1 or 1)  # 1 in column 1 of each row
+            free = not held or s + k < m  # only the bottom run is held
+            spans = product(range(k, 0, -1), range(top, lo, -1)) if free else [(k, q - x)]
+            offers = [((q - lo,) * (k - j) + (q - hi,) * j, (rect[j][hi - lo],) * free,
+                       (((1 << hi) - (1 << lo)) << s * q | ((1 << q - lo) - (1 << q - hi))
+                        << (p - s - j) * q) * (unit >> (k - j) * q)) for j, hi in spans]
+            offers += [((q - lo,) * k, (), 0)] * free  # all rows empty, last in lex order
+            level = [(lower + a, rects + b, cells | c)
+                     for lower, rects, cells in level for a, b, c in offers]
+        for lower, rects, cells in level:
             skew = SkewDecomposition(rects[::-1] + mid + rects, cells)
-            lam = rows + lower[1:]
+            lam = rows + lower
             canon = lam[: p - lam.count(0)]
             yield canon, _complement(lam, q), _palindrome(canon, skew, p, q)
 
 
 def count_orthogonal(p: int, q: int) -> int:
-    """The orthogonal lam of the p x q box. Their skews are centrally
-    symmetric, so each is a compatible pair on its upper p // 2 rows plus a
-    middle that follows the last of them, (lo, hi], by follows: for even p
-    its mirror (q - hi, q - lo], which does when 2 lo >= q, for odd p one of
-    the rows (x, q - x], 2x <= q, which does when q - x <= lo. Either middle
-    is (lo, hi) itself, continued, when lo + hi = q < 2 hi."""
+    """The orthogonal lam of the p x q box. Each skew is a compatible pair on the upper
+    p // 2 parts plus a middle, and x is the last upper part: the middle for odd p (2x <= q).
+    The bottom run, k parts lo under the part top, is free when x + lo >= q; otherwise it
+    continues the centre, (x, q - x] over its k rows, which needs lo = x and q - x <= top.
+    So a pair counts once for each x its last row (lo, hi] allows: each x with x + lo >= q
+    (x = lo for even p), and x = lo when the row is (x, q - x], x < q - x."""
     check_box(p, q)
     at_least, ending = _row_sums(p // 2, q)
     mid = (q + 1) // 2

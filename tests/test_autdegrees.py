@@ -65,6 +65,12 @@ def test_brute_force_small():
         lemC_bruteforce(2, 2, 5)
 
 
+@pytest.mark.parametrize("a, b", [(-1, 1), (1, 0)])
+def test_brute_force_refuses_a_negative_a_or_a_zero_b(a, b):
+    with pytest.raises(DomainError, match="need a >= 0 and b >= 1"):
+        lemC_bruteforce(a, b, 0)
+
+
 def test_brute_force_walks_no_deeper_than_the_stack():
     t0 = time.monotonic()
     assert lemC_bruteforce(1, 1500, 0) == (0, True)

@@ -349,6 +349,12 @@ def test_trivial_multiplicity_rank_mismatch():
         trivial_multiplicity(Char.one(3), group)
 
 
+def test_invariant_poincare_rank_mismatch():
+    group = CompactGroupSpec((("U", 2),))
+    with pytest.raises(SignatureMismatch, match="character rank 3 does not match group rank 2"):
+        invariant_poincare(group, Character(3, {}))
+
+
 def test_trivial_multiplicity_rejects_non_invariant_input():
     # x^0 + x^(1,-1) is not Weyl invariant, the division by |W| = 2 fails
     chi = Character.from_weights(2, [(0, 0), (1, -1)])

@@ -13,8 +13,16 @@ from pathlib import Path
 
 import pytest
 
-from cohomreps import Family, __version__, checks, count_reps, enumerate_reps, text_form
-from cohomreps.cli import main
+from cohomreps import (
+    Family,
+    InvariantViolation,
+    __version__,
+    checks,
+    count_reps,
+    enumerate_reps,
+    text_form,
+)
+from cohomreps.cli import _write_rows, main
 from cohomreps.reps import FAMILIES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,6 +73,12 @@ def test_enumerate_json_is_json_dumps(capsys, kind):
             }
             for rep in reps
         ]
+
+
+def test_rows_short_of_the_count_stop_before_the_tail(capsys):
+    with pytest.raises(InvariantViolation, match="enumerate wrote 2 rows for a count of 3"):
+        _write_rows("[", iter(["a", "b"]), ",", "]", 3)
+    assert capsys.readouterr().out == "[a,b"
 
 
 # The child reports its own peak RSS (VmHWM). Linux carries the parent's

@@ -70,8 +70,9 @@ class TestBlocks:
             parse_glrep("v(1,3)")
         with pytest.raises(DomainError):
             parse_glrep("u(1,3)[0.2]")
-        with pytest.raises(DomainError):
-            parse_glrep("")
+        for text in ("", "+", "u(1,2)+"):
+            with pytest.raises(DomainError, match="cannot parse block ''"):
+                parse_glrep(text)
         with pytest.raises(DomainError, match="twist denominator is zero"):
             parse_glrep("u(1,2)[1/0]")
 

@@ -176,7 +176,14 @@ def test_compatible_pairs_filter_the_box_product(p, q):
     ]
 
 
-@pytest.mark.parametrize("p, q", [*signatures(12), (1, 40), (40, 1), (2, 25), (25, 2)])
+# The thin boxes past signatures(12) have long runs of equal upper parts,
+# several rectangle offers per run, and bottom runs that continue the centre
+# over many rows.
+@pytest.mark.parametrize(
+    "p, q",
+    [*signatures(12), (1, 40), (40, 1), (2, 25), (25, 2), (41, 1), (30, 2), (31, 2), (20, 3),
+     (21, 3)],
+)
 def test_orthogonal_partitions_filter_the_box(p, q):
     shapes = orthogonal_partitions(p, q)
     assert inspect.isgenerator(shapes)

@@ -194,10 +194,10 @@ def test_enumeration_decomposes_each_pair_once(monkeypatch):
 
 
 def test_orthogonal_enumeration_skips_the_box_scan(monkeypatch):
-    # lam is built row by row within the bounds its complement sets, so the
-    # work follows the output rather than the C(p+q, p) box partitions, and
-    # each row carries its cells and rectangles, so no finished lam is
-    # decomposed again
+    # the lower rows of lam are the mirrored offers of the runs of its upper
+    # half, so the work follows the output rather than the C(p+q, p) box
+    # partitions, and each offer carries its cells and rectangle, so no
+    # finished lam is decomposed again
     def scan(*args):
         raise AssertionError("orthogonal enumeration scanned the box or decomposed a lam")
 
@@ -323,6 +323,13 @@ def test_enumeration_is_sorted_and_flag_zero_first():
     keys = [(r.lam, r.mu, r.flag) for r in reps]
     assert keys == sorted(keys)
     assert keys == [((), (), 1), ((), (1,), 0), ((), (1,), 1), ((1,), (1,), 1)]
+
+
+def test_memo_starts_over_at_its_size(monkeypatch):
+    monkeypatch.setattr(reps, "MEMO_SIZE", 2)
+    memo = reps.Memo(str)
+    assert [memo[1], memo[2], memo[3]] == ["1", "2", "3"]
+    assert memo == {3: "3"}
 
 
 def test_hodge_type():
