@@ -102,6 +102,9 @@ MAX_DEGREES = 1_000_000
 # A larger n is refused: its divisor walk would take over 10^7 steps, about
 # 1 s on a 2-vCPU machine.
 MAX_N = 10**14
+# A larger support is not remembered. One of at most 64 degrees has a prime
+# n or n <= 65^2, at most 11 bands, and takes under 3 kB with its key.
+MAX_CACHED_SUPPORT = 64
 
 
 class DegreeSet(NamedTuple):
@@ -130,7 +133,9 @@ def degree_support(n: int, p: int, q: int) -> DegreeSet:
     dimension around so callers can check symmetry or parity themselves.
     A support of more than MAX_DEGREES degrees is refused with DomainError
     before any degree is listed. The divisors are walked up to sqrt(n), so
-    an n above MAX_N is refused with DomainError before the walk.
+    an n above MAX_N is refused with DomainError before the walk. Arguments
+    are checked on each call, and a support of at most MAX_CACHED_SUPPORT
+    degrees is kept per (n, p, q) while its memo lasts (MEMO_SIZE, under 3 kB each).
     """
     _require_ints("n p q", n, p, q)
     if p + q != n:
@@ -139,6 +144,8 @@ def degree_support(n: int, p: int, q: int) -> DegreeSet:
         raise DomainError(f"need 1 <= p <= q, got p={p} q={q}")
     if n > MAX_N:
         raise DomainError(f"n={n} is more than the {MAX_N} whose divisors are walked")
+    if ds := _SUPPORTS.get((n, p, q)):
+        return ds
     low = [b for b in range(1, isqrt(n) + 1) if n % b == 0]
     bands = tuple((b, N(b, n, p)) for b in low[1:] + [n // b for b in low[::-1] if b * b != n])
     widest = {w % 2: w for w in sorted(w for _, w in bands)}
@@ -150,7 +157,11 @@ def degree_support(n: int, p: int, q: int) -> DegreeSet:
         )
     center = p * q
     support = sorted(d for w in widest.values() for d in range(center - w, center + w + 1, 2))
-    return DegreeSet(tuple(support), center, bands)
+    ds = DegreeSet(tuple(support), center, bands)
+    return _SUPPORTS.put((n, p, q), ds) if len(support) <= MAX_CACHED_SUPPORT else ds
+
+
+_SUPPORTS = Memo()
 
 
 class CoverageTag(NamedTuple):

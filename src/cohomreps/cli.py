@@ -231,16 +231,18 @@ def _enumerate_frame(args, count: int):
 
 def _json_rows(reps):
     """Each rep as its row of the enumerate document, from list and
-    partition strings formatted once per distinct value."""
+    partition strings formatted once per distinct value, but per row for
+    the lam and mu of O, which never repeat in a group."""
     # _json_list at the indent of a row's fields, once per distinct tuple
     lists = Memo(partial(_json_list, pad="      "))
     for rep in reps:
+        name = lists.form if rep.orth else lists.__getitem__
         yield (
             "    {\n"
             f'      "R": {rep.R},\n'
             f'      "flag": {"null" if rep.flag is None else rep.flag},\n'
-            f'      "lambda": {lists[rep.lam]},\n'
-            f'      "mu": {lists[rep.mu]},\n'
+            f'      "lambda": {name(rep.lam)},\n'
+            f'      "mu": {name(rep.mu)},\n'
             f'      "rectangles": {lists[rep.skew.rectangles]},\n'
             f'      "text": {encode_basestring_ascii(text_form(rep))}\n'
             "    }"

@@ -244,9 +244,15 @@ def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
     reads 0, so a crossing of the top or bottom edge counts as a turn, and
     a path merging into the left wall or leaving the right wall does not.
     Witness strings describe the violated condition; calls share their text
-    and the verdict of every isolated rep.
+    and the verdict of every isolated rep. The verdict is remembered per
+    (lam, mu, p, q) while its memo lasts (MEMO_SIZE entries, about 0.2 kB
+    each), so a warm call is one lookup; verdicts with the same rectangles
+    and turns are one object.
     """
     _require(rep, "U")
+    key = rep.lam, rep.mu, rep.family.p, rep.family.q
+    if verdict := _EXPLICIT.get(key):
+        return verdict
     lam, mu = rep.lam, rep.mu
     # Rows 1..len(lam) are empty where lam_i = mu_i, the rest down to
     # len(mu) are not, and lam can only drop to row len(mu) + 1, at 0.
@@ -262,9 +268,11 @@ def isolated_U_explicit(rep: CohRep) -> IsolationVerdict:
     if len(lam) == len(mu) < rep.family.p:
         turns.append(_TURNS[0, len(mu) + 1][1])
     wits = _STRIPS[rep.skew.rectangles] + tuple(turns)
-    return IsolationVerdict(False, wits, "explicit") if wits else _EXPLICIT_ISOLATED
+    return _EXPLICIT.put(key, _WITNESSED[rep.skew.rectangles, wits] if wits else _EXPLICIT_ISOLATED)
 
 
+_EXPLICIT = Memo()  # filled by put: a miss needs the rep, which its key does not hold
+_WITNESSED = Memo(lambda key: IsolationVerdict(False, key[1], "explicit"))  # key: rects, wits
 _STRIPS = Memo(
     lambda rects: tuple(
         f"rectangle {i} has size {a}x{b}, a strip of width 1"

@@ -263,12 +263,13 @@ _REVERSED_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _palindrome(
-    lam: Partition, skew: SkewDecomposition, p: int, q: int
+    lam: Partition, skew: SkewDecomposition, p: int, q: int, shared=None
 ) -> OrthogonalDecomposition:
     # The skew of (lam, complement(lam)) is centrally symmetric: rotating
     # the box by 180 degrees reverses its p*q cell bits and the rectangle
     # list. Symmetry makes a failure here impossible; the check stays as a
     # tripwire. The bits are reversed a byte at a time, through a table.
+    # A `shared` dict gives the pairs and the center, one object per value.
     rects, cells, m, n = skew.rectangles, skew.cells, len(skew.rectangles), p * q
     size = (n + 7) // 8
     turned = int.from_bytes(cells.to_bytes(size, "little").translate(_REVERSED_BITS), "big")
@@ -276,6 +277,8 @@ def _palindrome(
         raise PalindromeViolation(f"decomposition of {lam} in {p}x{q} is not centrally symmetric")
     pairs = rects[: m // 2]
     center = tuple(rects[m // 2]) if m % 2 else (0, 0)
+    if shared is not None:
+        pairs, center = shared.setdefault(pairs, pairs), shared.setdefault(center, center)
     return OrthogonalDecomposition(skew=skew, pairs=pairs, center=center)
 
 
@@ -288,9 +291,10 @@ def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
     (p + 1) // 2 parts come from the box walk, and x is the last: the middle for odd p.
     The bottom run, k parts lo under the part top, is free when x + lo >= q; otherwise it
     continues the centre, (x, q - x] over its k rows, which needs lo = x and q - x <= top.
-    The palindrome tripwire runs on each lam."""
+    The palindrome tripwire runs on each lam. The decompositions share one object per
+    Rectangle size, rectangle list, pairs and center, so a cached group holds each once."""
     check_box(p, q)
-    rect = _rectangles(p, q)
+    rect, shared = _rectangles(p, q), {}  # a center, of ints, never equals a list of Rectangles
     m = p // 2  # the upper rows that the lower rows mirror
     for upper in _box_partitions(p - m, q):
         rows = _padded(upper, p - m)
@@ -315,10 +319,11 @@ def orthogonal_partitions(p: int, q: int) -> Iterator[tuple]:
             level = [(lower + a, rects + b, cells | c)
                      for lower, rects, cells in level for a, b, c in offers]
         for lower, rects, cells in level:
-            skew = SkewDecomposition(rects[::-1] + mid + rects, cells)
+            whole = rects[::-1] + mid + rects
+            skew = SkewDecomposition(shared.setdefault(whole, whole), cells)
             lam = rows + lower
             canon = lam[: p - lam.count(0)]
-            yield canon, _complement(lam, q), _palindrome(canon, skew, p, q)
+            yield canon, _complement(lam, q), _palindrome(canon, skew, p, q, shared)
 
 
 def count_orthogonal(p: int, q: int) -> int:

@@ -159,9 +159,9 @@ def trivial_rep(family: Family) -> CohRep:
 
 # Enumeration refuses a group with more parameters than this: U(7,7) has
 # 335 682, Sp(7,7) and O(14,14) 437 880, U(8,8) 2 534 136. A cached rep
-# takes about 220 bytes in U, 200 in Sp and 790 in O (enumerate_reps adds
-# 70, 82 and 329 MB of RSS for U(7,7), Sp(7,7) and O(14,14)), so at the
-# bound a cached group takes about 0.2 GB in U or Sp and 0.8 GB in O.
+# takes about 220 bytes in U, 200 in Sp and 630 in O (enumerate_reps adds
+# 70, 82 and 261 MB of RSS for U(7,7), Sp(7,7) and O(14,14)), so at the
+# bound a cached group takes about 0.2 GB in U or Sp and 0.6 GB in O.
 MAX_REPS = 1_000_000
 
 
@@ -342,17 +342,20 @@ MEMO_SIZE = 1 << 13
 class Memo(dict):
     """The value `form` gives each key looked up, made once while the memo
     lasts (MEMO_SIZE); Memo(brackets) names partitions, which are trusted
-    to be canonical."""
+    to be canonical. `put` keeps a value made elsewhere."""
 
-    def __init__(self, form):
+    def __init__(self, form=None):
         super().__init__()
         self.form = form
 
     def __missing__(self, key):
+        return self.put(key, self.form(key))
+
+    def put(self, key, value):
         if len(self) >= MEMO_SIZE:
             self.clear()
-        text = self[key] = self.form(key)
-        return text
+        self[key] = value
+        return value
 
 
 # Products holds a Poincare polynomial per key, `form` of the key's block
@@ -369,12 +372,18 @@ MAX_PRODUCTS = 4096
 
 class Products(Memo):
     def __missing__(self, key):
-        poly = self.form(_blocks(*key[:2])).shift(key[2])
+        return self.put(key, self.form(_blocks(*key[:2])).shift(key[2]))
+
+    def put(self, key, poly):
         if poly.degree <= MAX_CACHED_DEGREE:
             if len(self) >= MAX_PRODUCTS:
                 self.clear()
             self[key] = poly
         return poly
+
+
+class Blocks(Products):  # unshifted products keyed by their block tags, bounded the same
+    __missing__ = Memo.__missing__
 
 
 def _closed_product(tags) -> IntPoly:
@@ -385,6 +394,10 @@ def _closed_product(tags) -> IntPoly:
             f"sides sum to {sides}; it is built up to degree {MAX_CLOSED_DEGREE} "
             f"and degree times sides {MAX_CLOSED_WORK}"
         )
+    return _BLOCKS[tags]
+
+
+def _block_product(tags) -> IntPoly:
     from .polynomials import ONE, times_gaussian, times_grassmannian
 
     poly = ONE
@@ -403,9 +416,9 @@ def poincare_closed(rep: CohRep) -> IntPoly:
     blocks one in t^4, and the real central block of the orthogonal family
     the Poincare polynomial of a real Grassmannian; the invariants engine
     is never run. The product is shifted by t^R, so degrees are absolute,
-    and cached per key, apart from the oracle's cache. A product past
-    MAX_CLOSED_DEGREE or MAX_CLOSED_WORK is refused with DomainError
-    before any factor is built.
+    cached per key apart from the oracle's cache, and built once per block
+    list. A product past MAX_CLOSED_DEGREE or MAX_CLOSED_WORK is refused
+    with DomainError on each key miss, before any factor is looked up.
     """
     return _CLOSED[_key(rep)]
 
@@ -418,7 +431,8 @@ def _oracle_poincare(module) -> IntPoly:
     return invariant_poincare(group, chi)
 
 
-_CLOSED = Products(_closed_product)
+_CLOSED = Products(_closed_product)  # its bounds are checked on each key miss
+_BLOCKS = Blocks(_block_product)  # 563 block lists for the 2 375 keys with p+q <= 9
 _ORACLE = Products(lambda tags: _oracle_poincare(tuple(sorted(
     (s, a, b) if a <= b else (s, b, a) for s, a, b in tags))))
 
@@ -444,12 +458,12 @@ _NAMES = Memo(brackets)
 
 
 def text_form(rep: CohRep) -> str:
-    """The rep as text, e.g. U(2,2) A[[1]|[2,1]]; each partition is named
-    once while the module's memo lasts (MEMO_SIZE)."""
+    """The rep as text, e.g. U(2,2) A[[1]|[2,1]]; each U or Sp partition is
+    named once while the module's memo lasts (MEMO_SIZE), an O lam per call."""
     kind, p, q = rep.family
     head = f"{kind}({p},{q})"
     if kind == "O":
-        return f"{head} A[{_NAMES[rep.lam]}]"
+        return f"{head} A[{brackets(rep.lam)}]"
     body = f"A[{_NAMES[rep.lam]}|{_NAMES[rep.mu]}]"
     if kind == "Sp":
         return f"{head} {body}_{rep.flag}"

@@ -201,6 +201,28 @@ class TestDegreeSupport:
         with pytest.raises(DomainError, match="has 3125001 degrees, more than the 1000000"):
             degree_support(5000, 2500, 2500)
 
+    def test_a_refused_support_is_not_remembered(self, monkeypatch):
+        monkeypatch.setattr(autdegrees, "_SUPPORTS", Memo())
+        monkeypatch.setattr(autdegrees, "MAX_DEGREES", 2)
+        with pytest.raises(DomainError, match="has 3 degrees, more than the 2"):
+            degree_support(4, 2, 2)
+        assert not autdegrees._SUPPORTS
+        monkeypatch.setattr(autdegrees, "MAX_DEGREES", 3)
+        assert degree_support(4, 2, 2).degrees == (2, 4, 6)
+        assert list(autdegrees._SUPPORTS) == [(4, 2, 2)]
+        # equal to the remembered key, but still checked
+        for args in [(4.0, 2, 2), (4, 2.0, 2), (4, 2, 2.0)]:
+            with pytest.raises(DomainError, match="must be an integer"):
+                degree_support(*args)
+
+    def test_an_oversized_support_is_not_stored(self, monkeypatch):
+        monkeypatch.setattr(autdegrees, "_SUPPORTS", Memo())
+        monkeypatch.setattr(autdegrees, "MAX_CACHED_SUPPORT", 2)
+        for _ in range(2):
+            assert degree_support(4, 2, 2).degrees == (2, 4, 6)
+            assert degree_support(5, 2, 3).degrees == (6,)
+        assert list(autdegrees._SUPPORTS) == [(5, 2, 3)]
+
     def test_rank_past_the_walk_bound_is_refused(self):
         n = MAX_N + 1
         with pytest.raises(DomainError, match=f"n={n} is more than the {n - 1}"):

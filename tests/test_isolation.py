@@ -123,15 +123,36 @@ class TestUnitaryExplicit:
 
     def test_witness_digest_is_pinned(self):
         # the text and explicit verdict, witness strings in order, of every
-        # rep of U(p,q) with p+q <= 10
-        digest, count = hashlib.sha256(), 0
+        # rep of U(p,q) with p+q <= 10, on a first pass over each group and
+        # on a second one, which the verdict memo answers
+        digests, count = [hashlib.sha256(), hashlib.sha256()], 0
         for n in range(2, 11):
             for p in range(1, n):
-                for rep in enumerate_reps(Family("U", p, n - p)):
-                    digest.update(repr((text_form(rep), isolated_U_explicit(rep))).encode())
-                    count += 1
+                group = enumerate_reps(Family("U", p, n - p))
+                for digest in digests:
+                    for rep in group:
+                        digest.update(repr((text_form(rep), isolated_U_explicit(rep))).encode())
+                count += len(group)
         assert count == 32483
-        assert digest.hexdigest() == "6ee7aa6b7fdaf5309932e02ec41855655284c84860bf7a45b2ea9049e8fc6042"
+        pinned = "6ee7aa6b7fdaf5309932e02ec41855655284c84860bf7a45b2ea9049e8fc6042"
+        assert [digest.hexdigest() for digest in digests] == [pinned] * 2
+
+    def test_a_warm_explicit_call_reads_no_row(self, monkeypatch):
+        monkeypatch.setattr(isolation, "_EXPLICIT", Memo())
+        every = [rep for p, q in [(3, 3), (2, 5), (4, 4)] for rep in enumerate_reps(Family("U", p, q))]
+        first = [isolated_U_explicit(rep) for rep in every]
+
+        class Refuse:
+            def __getitem__(self, key):
+                raise AssertionError("a warm explicit call read a row")
+
+        monkeypatch.setattr(isolation, "_TURNS", Refuse())
+        monkeypatch.setattr(isolation, "_STRIPS", Refuse())
+        assert [isolated_U_explicit(rep) for rep in every] == first
+        with pytest.raises(AssertionError, match="read a row"):  # a miss still reads them
+            isolated_U_explicit(trivial_rep(Family("U", 2, 2)))
+        with pytest.raises(WrongFamily):  # the family is checked before the lookup
+            isolated_U_explicit(make_rep(Family("Sp", 3, 3), every[0].lam, every[0].mu, 1))
 
 
 class TestOrthogonal:

@@ -266,6 +266,16 @@ def test_orthogonal_enumeration_shares_each_rectangle():
     assert len(set(map(id, rects))) == len(set(rects)) < len(rects)
 
 
+def test_orthogonal_enumeration_shares_each_rectangle_list_pairs_and_center():
+    group = tuple(iter_reps(Family("O", 8, 8)))
+    for values in (
+        [rep.skew.rectangles for rep in group],
+        [rep.orth.pairs for rep in group],
+        [rep.orth.center for rep in group],
+    ):
+        assert len(set(map(id, values))) == len(set(values)) < len(values)
+
+
 def test_a_fresh_enumeration_takes_under_260_bytes_a_rep():
     # 219 bytes a rep measured: the rep, its decomposition and its cell mask,
     # the partitions and rectangles being shared
@@ -483,6 +493,24 @@ def test_closed_products_past_the_cached_degree_are_not_cached(monkeypatch):
     # the long product is built on each call and never stored
     assert list(reps._CLOSED) == [reps._key(short)]
     assert built == [(("her", 16, 16),)] + [(("her", 16, 17),)] * 2
+
+
+def test_a_closed_product_is_built_once_per_block_list(monkeypatch):
+    built = []
+
+    def build(tags):
+        built.append(tags)
+        return reps._block_product(tags)
+
+    monkeypatch.setattr(reps, "_CLOSED", reps.Products(reps._closed_product))
+    monkeypatch.setattr(reps, "_BLOCKS", reps.Blocks(build))
+    groups = [Family("U", 3, 3), Family("Sp", 2, 3), Family("O", 4, 5)]
+    every = [rep for fam in groups for rep in enumerate_reps(fam)]
+    for rep in every:
+        assert poincare_closed(rep) == reps._block_product(block_tags(rep)).shift(rep.R)
+    # keys that differ only in R share their block list, and its one build
+    assert sorted(built) == sorted({block_tags(rep) for rep in every})
+    assert len({reps._key(rep) for rep in every}) > len(built)
 
 
 def test_a_warm_product_is_one_lookup(monkeypatch):
